@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -73,17 +74,32 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	simOut, _ := run(t, bins["dcsim"], nil, "-in", traceFile, "-lambda", "2", "-policy", "sc", "-metrics")
-	for _, want := range []string{"policy: SC", "ratio:", "utilization"} {
+	for _, want := range []string{"policy: sc over", "ratio:", "utilization"} {
 		if !strings.Contains(simOut, want) {
 			t.Errorf("dcsim output missing %q:\n%s", want, simOut)
 		}
 	}
 
 	cmpOut, _ := run(t, bins["dcsim"], nil, "-in", traceFile, "-lambda", "2", "-compare")
-	for _, want := range []string{"OPT (offline)", "SC", "AdaptiveTTL", "KeepEverywhere", "cost/OPT"} {
+	for _, want := range []string{"OPT (offline)", "sc ", "ttl:window=0.5", "adaptive", "replicate", "cost/OPT"} {
 		if !strings.Contains(cmpOut, want) {
 			t.Errorf("dcsim -compare missing %q:\n%s", want, cmpOut)
 		}
+	}
+
+	// -policy takes any spec, parameters included, and -trace dumps the
+	// decision stream for every kind.
+	for _, spec := range []string{"sc:epoch=4", "ttl:window=0.5", "adaptive", "migrate", "replicate", "hybrid:horizon=8,order=2"} {
+		out, _ := run(t, bins["dcsim"], nil, "-in", traceFile, "-lambda", "2", "-policy", spec, "-trace")
+		for _, want := range []string{"policy: " + spec + " over", "decision trace (", "request"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("dcsim -policy %s -trace missing %q:\n%s", spec, want, out)
+			}
+		}
+	}
+	cmd := exec.Command(bins["dcsim"], "-in", traceFile, "-policy", "ttl:window=1,epoch=3")
+	if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), "does not take epoch") {
+		t.Errorf("dcsim accepted a key ttl ignores: err %v\n%s", err, out)
 	}
 }
 
@@ -132,6 +148,11 @@ func TestCLIDcplanCatalog(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("dcplan output missing %q:\n%s", want, out)
 		}
+	}
+	// -online takes the same specs every other surface does.
+	out2, _ := run(t, bins["dcplan"], []byte(trace), "-lambda", "2", "-online", "sc:window=1,epoch=2")
+	if !strings.Contains(out2, "online/planned") {
+		t.Errorf("dcplan -online with a parameterized spec:\n%s", out2)
 	}
 }
 
@@ -673,6 +694,29 @@ func TestCLIDcloadRecordReplay(t *testing.T) {
 	}
 	if rep.Ratio < 1 || rep.Ratio > 3 {
 		t.Fatalf("hindsight ratio %v outside [1, 3]", rep.Ratio)
+	}
+
+	// A shadow list may carry the labels the tools print, commas inside
+	// a spec included.
+	var srep struct {
+		ShadowPanel struct {
+			Standings []struct {
+				Policy string `json:"policy"`
+				Live   bool   `json:"live"`
+			} `json:"standings"`
+		} `json:"shadowPanel"`
+	}
+	shadowOut, _ := run(t, bins["dcreplay"], nil, "-in", recDir, "-json",
+		"-shadows", "hybrid:horizon=8,order=2,migrate")
+	if err := json.Unmarshal([]byte(shadowOut), &srep); err != nil {
+		t.Fatalf("dcreplay -shadows -json: %v\n%s", err, shadowOut)
+	}
+	var labels []string
+	for _, row := range srep.ShadowPanel.Standings {
+		labels = append(labels, row.Policy)
+	}
+	if want := []string{"sc", "hybrid:horizon=8,order=2", "migrate"}; !reflect.DeepEqual(labels, want) {
+		t.Fatalf("replay shadow panel %q, want %q", labels, want)
 	}
 
 	// Pool mode: the single pool recording replays the same way.

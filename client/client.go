@@ -73,13 +73,11 @@ type SessionConfig struct {
 	Origin datacache.ServerID
 	Mu     float64
 	Lambda float64
-	// Policy is a PolicySpec string: "sc" (default), "ttl:window=0.5",
-	// "migrate", "replicate" or "hybrid:horizon=8,order=2" for the
-	// prediction-fed planner. Window/Epoch below apply when the spec
-	// carries none of its own.
+	// Policy is a PolicySpec string, parameters included: "sc"
+	// (default), "sc:epoch=16", "ttl:window=0.5", "adaptive", "migrate",
+	// "replicate" or "hybrid:horizon=8,order=2" for the prediction-fed
+	// planner.
 	Policy string
-	Window float64 // ttl retention / sc window override
-	Epoch  int     // sc epoch restarts (0 disables)
 	// Shadows lists counterfactual policy specs ("ttl:window=0.5",
 	// "sc:epoch=16", "migrate", ...) to run in lockstep with the live
 	// policy; read standings with Session.Shadow.
@@ -215,8 +213,6 @@ func (c *Client) CreateSession(ctx context.Context, cfg SessionConfig) (*Session
 		Origin:  cfg.Origin,
 		Model:   service.CostModelDTO{Mu: cfg.Mu, Lambda: cfg.Lambda},
 		Policy:  cfg.Policy,
-		Window:  cfg.Window,
-		Epoch:   cfg.Epoch,
 		Shadows: cfg.Shadows,
 	}
 	var st SessionState

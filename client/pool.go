@@ -39,16 +39,14 @@ type PoolRequest struct {
 
 // PoolConfig parameterizes CreatePool. Policy is a PolicySpec string
 // ("sc", "ttl:window=0.5", "hybrid:horizon=8,order=2", ...) applied to
-// every per-item engine; Window/Epoch apply when the spec carries none
-// of its own; MaxItems bounds live engine state (0 unbounded).
+// every per-item engine; MaxItems bounds live engine state (0
+// unbounded).
 type PoolConfig struct {
 	M        int
 	Origin   datacache.ServerID
 	Mu       float64
 	Lambda   float64
 	Policy   string
-	Window   float64
-	Epoch    int
 	MaxItems int
 	// Shadows lists counterfactual policy specs every item engine runs
 	// in lockstep; read pool-wide standings with Pool.Shadow.
@@ -63,8 +61,6 @@ func (c *Client) CreatePool(ctx context.Context, cfg PoolConfig) (*Pool, error) 
 		Origin:   cfg.Origin,
 		Model:    service.CostModelDTO{Mu: cfg.Mu, Lambda: cfg.Lambda},
 		Policy:   cfg.Policy,
-		Window:   cfg.Window,
-		Epoch:    cfg.Epoch,
 		MaxItems: cfg.MaxItems,
 		Shadows:  cfg.Shadows,
 	}

@@ -69,6 +69,7 @@ import (
 	"strings"
 	"time"
 
+	"datacache"
 	"datacache/client"
 	"datacache/internal/model"
 	"datacache/internal/service"
@@ -86,7 +87,7 @@ func main() {
 		m        = flag.Int("m", 16, "number of servers")
 		mu       = flag.Float64("mu", 1, "transfer cost μ")
 		lambda   = flag.Float64("lambda", 2, "holding cost λ per unit time")
-		policy   = flag.String("policy", "sc", "live policy spec: sc | ttl:window=X | migrate | replicate | hybrid:horizon=K,order=k")
+		policy   = flag.String("policy", "sc", "live policy spec: sc[:window=X,epoch=N] | ttl:window=X | adaptive | migrate | replicate | hybrid:horizon=K,order=k")
 		gap      = flag.Float64("gap", 1.0, "mean inter-arrival time of the generated trace")
 		seed     = flag.Int64("seed", 1, "workload seed (worker i uses seed+i)")
 		qps      = flag.Float64("qps", 0, "target aggregate requests/sec (0 = closed loop)")
@@ -268,13 +269,7 @@ type workerConfig struct {
 // two baselines of the paper.
 func shadowPanel(specs string, mu, lambda float64) []string {
 	if specs != "" {
-		var out []string
-		for _, s := range strings.Split(specs, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				out = append(out, s)
-			}
-		}
-		return out
+		return datacache.SplitPolicySpecs(specs)
 	}
 	return []string{
 		fmt.Sprintf("ttl:window=%g", lambda/mu/2),

@@ -6,6 +6,7 @@
 //
 //	dcplan -in events.csv -mu 1 -lambda 2
 //	dcplan -in events.csv -online sc
+//	dcplan -in events.csv -online ttl:window=0.5
 //
 // The events format is one "item,server,time" row per request under a
 // "#datacache-events m=<m>" header; see internal/trace.
@@ -16,8 +17,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"datacache"
 	"datacache/internal/model"
 	"datacache/internal/multi"
 	"datacache/internal/online"
@@ -31,7 +32,7 @@ func main() {
 		in       = flag.String("in", "", "input events file (default stdin)")
 		mu       = flag.Float64("mu", 1, "caching cost per unit time (μ)")
 		lambda   = flag.Float64("lambda", 1, "transfer cost (λ)")
-		onlineBy = flag.String("online", "", "also serve each item online: sc|adaptive|migrate|keep")
+		onlineBy = flag.String("online", "", "also serve each item online under this policy spec: sc[:window=X,epoch=N] | ttl:window=X | adaptive | migrate | replicate | hybrid[:horizon=K,order=k]")
 		workers  = flag.Int("workers", 0, "parallel planners (0 = GOMAXPROCS)")
 	)
 	version := flag.Bool("version", false, "print the build version and exit")
@@ -65,13 +66,11 @@ func main() {
 	var serveTotal float64
 	if *onlineBy != "" {
 		table.Header = append(table.Header, "online bill", "online/planned")
-		serveReports, serveTotal, err = multi.Serve(cat, events, func() online.Runner {
-			p, err := pick(*onlineBy)
-			if err != nil {
-				fatal(err)
-			}
-			return p
-		})
+		sp, err := datacache.ParsePolicySpec(*onlineBy)
+		if err != nil {
+			fatal(err)
+		}
+		serveReports, serveTotal, err = multi.Serve(cat, events, func() online.Runner { return sp })
 		if err != nil {
 			fatal(err)
 		}
@@ -92,21 +91,6 @@ func main() {
 	if serveReports != nil {
 		fmt.Printf("composed guarantee serve <= 3*plan holds: %v\n",
 			multi.CompetitiveGuarantee(total, serveTotal, 3))
-	}
-}
-
-func pick(name string) (online.Runner, error) {
-	switch strings.ToLower(name) {
-	case "sc":
-		return online.SpeculativeCaching{}, nil
-	case "adaptive":
-		return online.AdaptiveTTL{}, nil
-	case "migrate":
-		return online.AlwaysMigrate{}, nil
-	case "keep":
-		return online.KeepEverywhere{}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
 	}
 }
 

@@ -62,14 +62,7 @@ func main() {
 	if *in == "" {
 		fatal(fmt.Errorf("-in is required"))
 	}
-	opts := &datacache.ReplayOptions{Window: *window}
-	if *shadows != "" {
-		for _, s := range strings.Split(*shadows, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				opts.Shadows = append(opts.Shadows, s)
-			}
-		}
-	}
+	opts := &datacache.ReplayOptions{Window: *window, Shadows: datacache.SplitPolicySpecs(*shadows)}
 	rep, err := datacache.ReplayPath(*in, opts)
 	if err != nil {
 		fatal(err)

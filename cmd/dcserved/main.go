@@ -10,17 +10,17 @@
 //	GET  /healthz                     liveness
 //	GET  /metrics                     Prometheus text-format metrics
 //	GET  /v1/metrics/history          windowed aggregates from the embedded metrics history (series, window, step, agg, end, limit)
-//	GET  /metricz                     retired (410 Gone since 1.8.0); scrape /metrics
 //	POST /v1/optimize                 {sequence, model, schedule?, vectors?} → optimum + bounds
-//	POST /v1/simulate                 {sequence, model, policy, window?, epoch?} → cost vs optimum
+//	POST /v1/simulate                 {sequence, model, policy?} → cost vs optimum (policy spec, default sc)
 //	POST /v1/generate                 {workload, m, n, seed, gap?} → sequence
-//	GET  /v1/policies                 available policy names
+//	POST /v1/plan                     {m, model, events, online?} → per-item catalog plan, online billed under a policy spec
+//	GET  /v1/policies                 the policy kinds every policy spec field accepts
 //	POST /v1/stream                   {m, origin, model} → incremental planning stream
 //	POST /v1/stream/{id}/append       {server, time} → updated optimum in O(m)
 //	GET  /v1/stream/{id}              stream state
 //	GET  /v1/stream/{id}/schedule     optimal schedule for the streamed prefix
 //	DELETE /v1/stream/{id}            drop the stream
-//	POST /v1/session                  {m, origin, model, policy?, window?, epoch?} → live serving session (201 + Location); policy is a PolicySpec ("sc", "ttl:window=0.5", "hybrid:horizon=8,order=2", ...)
+//	POST /v1/session                  {m, origin, model, policy?, shadows?} → live serving session (201 + Location); policy and shadows are policy specs ("sc", "ttl:window=0.5", "hybrid:horizon=8,order=2", ...)
 //	POST /v1/session/{id}/request     {server, time} → decision + running cost/optimum/ratio
 //	POST /v1/session/{id}/requests    {requests: [{server, t}]} or NDJSON lines → bulk decisions + post-batch snapshot
 //	GET  /v1/session/{id}             session state
@@ -36,6 +36,8 @@
 //	GET  /v1/session/{id}/record      download the session's flight recording (404 without -record-dir)
 //	GET  /v1/pool/{id}/record         download the pool's flight recording (404 without -record-dir)
 //	GET  /readyz                      readiness (degraded while any alert is firing)
+//
+// Any other path answers 404 inside the JSON error envelope.
 //
 // With -record-dir set, every served request is appended to an
 // append-only flight recording (binary WAL or NDJSON via -record-mode)

@@ -1,10 +1,12 @@
 // Command dcsim replays a request trace through an online caching policy
-// and reports its cost against the off-line optimum.
+// and reports its cost against the off-line optimum. The policy is a
+// policy spec, the grammar every tool and route shares.
 //
 // Usage:
 //
 //	dcgen -workload zipf -n 5000 | dcsim -policy sc
-//	dcsim -in trace.csv -policy ttl -window 0.5
+//	dcsim -in trace.csv -policy ttl:window=0.5
+//	dcsim -in trace.csv -policy sc:epoch=16
 //	dcsim -in trace.csv -compare            # every policy side by side
 //	dcsim -in trace.csv -trace              # dump the decision event stream
 package main
@@ -14,13 +16,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"datacache/internal/engine"
+	"datacache"
 	"datacache/internal/model"
 	"datacache/internal/obs"
 	"datacache/internal/offline"
-	"datacache/internal/online"
 	"datacache/internal/service"
 	"datacache/internal/stats"
 	"datacache/internal/trace"
@@ -32,12 +32,10 @@ func main() {
 		format  = flag.String("format", "csv", "input format: csv|json")
 		mu      = flag.Float64("mu", 1, "caching cost per unit time (μ)")
 		lambda  = flag.Float64("lambda", 1, "transfer cost (λ)")
-		policy  = flag.String("policy", "sc", "policy: sc|ttl|adaptive|migrate|keep")
-		window  = flag.Float64("window", 0, "TTL window override (ttl policy; 0 = λ/μ)")
-		epoch   = flag.Int("epoch", 0, "SC epoch size in transfers (0 = unbounded)")
+		policy  = flag.String("policy", "sc", "policy spec: sc[:window=X,epoch=N] | ttl:window=X | adaptive | migrate | replicate | hybrid[:horizon=K,order=k]")
 		compare = flag.Bool("compare", false, "run every policy and print a comparison table")
 		metrics = flag.Bool("metrics", false, "print the per-server breakdown of the policy's schedule")
-		dump    = flag.Bool("trace", false, "dump the decision event stream (requests, hits, transfers, drops, timer fires, epoch resets)")
+		dump    = flag.Bool("trace", false, "dump the decision event stream (requests, hits, transfers, drops, timer fires, epoch resets, mispredicts)")
 	)
 	version := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
@@ -60,34 +58,30 @@ func main() {
 	if *compare {
 		table := &stats.Table{Header: []string{"policy", "cost", "transfers", "hits", "cost/OPT"}}
 		table.Add("OPT (offline)", opt.Cost(), "-", "-", 1.0)
-		for _, p := range []online.Runner{
-			online.SpeculativeCaching{EpochTransfers: *epoch},
-			online.SpeculativeCaching{Window: cm.Delta() / 4},
-			online.SpeculativeCaching{Window: cm.Delta() * 4},
-			online.AdaptiveTTL{},
-			online.AlwaysMigrate{},
-			online.KeepEverywhere{},
+		for _, spec := range []string{
+			"sc",
+			fmt.Sprintf("ttl:window=%g", cm.Delta()/4),
+			fmt.Sprintf("ttl:window=%g", cm.Delta()*4),
+			"adaptive",
+			"migrate",
+			"replicate",
 		} {
-			res, err := online.Run(p, seq, cm)
+			res, err := serve(spec, seq, cm)
 			if err != nil {
 				fatal(err)
 			}
-			table.Add(p.Name(), res.Stats.Cost, res.Stats.Transfers, res.Stats.CacheHits,
+			table.Add(res.Policy, res.Stats.Cost, res.Stats.Transfers, res.Stats.CacheHits,
 				res.Stats.Cost/opt.Cost())
 		}
 		fmt.Print(table.String())
 		return
 	}
 
-	p, err := pick(*policy, *window, *epoch)
+	res, err := serve(*policy, seq, cm)
 	if err != nil {
 		fatal(err)
 	}
-	res, err := online.Run(p, seq, cm)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("policy: %s over %d requests (m=%d, μ=%g, λ=%g)\n", p.Name(), seq.N(), seq.M, cm.Mu, cm.Lambda)
+	fmt.Printf("policy: %s over %d requests (m=%d, μ=%g, λ=%g)\n", res.Policy, seq.N(), seq.M, cm.Mu, cm.Lambda)
 	fmt.Printf("cost: %.6g   transfers: %d   cache hits: %d\n", res.Stats.Cost, res.Stats.Transfers, res.Stats.CacheHits)
 	fmt.Printf("offline optimum: %.6g   ratio: %.4f (SC bound: 3)\n", opt.Cost(), res.Stats.Cost/opt.Cost())
 	if *metrics {
@@ -99,69 +93,42 @@ func main() {
 		fmt.Print(table.String())
 	}
 	if *dump {
-		if err := dumpTrace(seq, cm, *policy, *window, *epoch); err != nil {
+		if err := dumpTrace(seq, cm, *policy); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// dumpTrace replays the sequence through the engine decider behind the
-// chosen policy with an observer attached, and prints the event stream —
-// the exact schema /v1/session/{id}/trace serves for live traffic and the
-// simulator's RunTraced records.
-func dumpTrace(seq *model.Sequence, cm model.CostModel, policy string, window float64, epoch int) error {
-	var d engine.Decider
-	switch strings.ToLower(policy) {
-	case "sc":
-		d = &engine.SC{EpochTransfers: epoch}
-	case "ttl":
-		d = &engine.SC{Window: window}
-	case "migrate":
-		d = &engine.Migrate{}
-	case "keep":
-		d = &engine.Replicate{}
-	default:
-		return fmt.Errorf("-trace supports sc|ttl|migrate|keep, not %q", policy)
+// serve runs the policy a spec names over the whole sequence.
+func serve(spec string, seq *model.Sequence, cm model.CostModel) (*datacache.OnlineResult, error) {
+	sp, err := datacache.ParsePolicySpec(spec)
+	if err != nil {
+		return nil, err
 	}
+	return datacache.Serve(sp, seq, cm)
+}
+
+// dumpTrace serves the sequence through a Session running the policy,
+// with an unbounded ring as its observer, and prints the event stream —
+// the exact schema /v1/session/{id}/trace serves for live traffic and
+// the simulator's RunTraced records.
+func dumpTrace(seq *model.Sequence, cm model.CostModel, policy string) error {
 	ring := &obs.Ring{} // unbounded: offline dumps want the full stream
-	if sc, ok := d.(*engine.SC); ok {
-		sc.OnReset = func(t float64, keep model.ServerID) {
-			ring.Observe(obs.Event{At: t, Kind: obs.KindEpochReset, Server: int(keep)})
-		}
-	}
-	st, err := engine.NewStream(d, engine.State{M: seq.M, Origin: seq.Origin, Model: cm})
+	sess, err := datacache.NewSession(seq.M, seq.Origin, cm, &datacache.SessionOptions{Policy: policy, Observer: ring})
 	if err != nil {
 		return err
 	}
-	st.SetObserver(ring)
 	for _, r := range seq.Requests {
-		if _, err := st.Serve(r.Server, r.Time); err != nil {
+		if _, err := sess.Serve(r.Server, r.Time); err != nil {
 			return err
 		}
 	}
-	if _, err := st.Finish(seq.End()); err != nil {
+	if _, err := sess.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("decision trace (%d events):\n", ring.Len())
 	fmt.Print(ring.String())
 	return nil
-}
-
-func pick(name string, window float64, epoch int) (online.Runner, error) {
-	switch strings.ToLower(name) {
-	case "sc":
-		return online.SpeculativeCaching{EpochTransfers: epoch}, nil
-	case "ttl":
-		return online.SpeculativeCaching{Window: window}, nil
-	case "adaptive":
-		return online.AdaptiveTTL{}, nil
-	case "migrate":
-		return online.AlwaysMigrate{}, nil
-	case "keep":
-		return online.KeepEverywhere{}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }
 
 func readTrace(path, format string) (*model.Sequence, error) {

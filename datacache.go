@@ -116,7 +116,8 @@ func OptimizeAll(items []BatchItem, workers int) []BatchResult {
 // Online policy surface (see internal/online).
 type (
 	// Policy is an online caching policy: it serves requests in time order
-	// with no lookahead and returns the schedule it produced.
+	// with no lookahead and returns the schedule it produced. A parsed
+	// PolicySpec is one, as are the typed runners below.
 	Policy = online.Runner
 	// SpeculativeCaching is the paper's 3-competitive SC algorithm; the
 	// zero value is the canonical configuration (window Δt = Lambda/Mu,

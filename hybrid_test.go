@@ -33,8 +33,8 @@ func TestHybridSessionSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Policy() != "hybrid" {
-		t.Fatalf("Policy() = %q, want hybrid", sess.Policy())
+	if sess.Policy() != "hybrid:horizon=8,order=2" {
+		t.Fatalf("Policy() = %q, want the canonical spec", sess.Policy())
 	}
 	// The SC fallback self-check is implicit: no shadows were asked for,
 	// exactly one labeled "sc" must exist anyway.
@@ -188,7 +188,7 @@ func TestReplayHybridSession(t *testing.T) {
 			if rep.Records != 400 || len(rep.Streams) != 1 {
 				t.Fatalf("records=%d streams=%d", rep.Records, len(rep.Streams))
 			}
-			if rep.Streams[0].Policy != "hybrid" {
+			if rep.Streams[0].Policy != "hybrid:horizon=8,order=2" {
 				t.Fatalf("replayed policy = %q", rep.Streams[0].Policy)
 			}
 		})
@@ -202,12 +202,21 @@ func TestSessionPolicySpecErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "horizon") {
 		t.Fatalf("err = %v, want horizon complaint", err)
 	}
-	// Bare "ttl" plus option-level Window is the supported spelling.
-	sess, err := NewSession(3, 1, CostModel{Mu: 1, Lambda: 1}, &SessionOptions{Policy: "ttl", Window: 0.5})
+	// A key the kind ignores is refused, never silently dropped.
+	_, err = NewSession(3, 1, CostModel{Mu: 1, Lambda: 1}, &SessionOptions{Policy: "ttl:window=1,epoch=3"})
+	if err == nil || !strings.Contains(err.Error(), "does not take epoch") {
+		t.Fatalf("err = %v, want epoch complaint", err)
+	}
+	// The window rides in the spec; a bare "ttl" has none.
+	if _, err := NewSession(3, 1, CostModel{Mu: 1, Lambda: 1}, &SessionOptions{Policy: "ttl"}); err == nil ||
+		!strings.Contains(err.Error(), "window") {
+		t.Fatalf("bare ttl: err = %v, want window complaint", err)
+	}
+	sess, err := NewSession(3, 1, CostModel{Mu: 1, Lambda: 1}, &SessionOptions{Policy: "ttl:window=0.5"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Policy() != "ttl" {
-		t.Fatalf("Policy() = %q, want ttl", sess.Policy())
+	if sess.Policy() != "ttl:window=0.5" {
+		t.Fatalf("Policy() = %q, want ttl:window=0.5", sess.Policy())
 	}
 }

@@ -34,7 +34,7 @@ type AdaptiveTTL struct {
 // Name implements Runner.
 func (AdaptiveTTL) Name() string { return "AdaptiveTTL" }
 
-// Run implements Runner.
+// Run implements Runner by replaying the sequence through Decider.
 func (p AdaptiveTTL) Run(seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
 	if err := seq.Validate(); err != nil {
 		return nil, err
@@ -42,41 +42,51 @@ func (p AdaptiveTTL) Run(seq *model.Sequence, cm model.CostModel) (*model.Schedu
 	if err := cm.Validate(); err != nil {
 		return nil, err
 	}
-	maxSamples := p.MaxSamples
-	if maxSamples <= 0 {
-		maxSamples = 64
+	return engine.Replay(p.Decider(), seq, cm)
+}
+
+// Decider returns a fresh engine decider running the policy: the gap
+// learner observes each arrival at the top of OnRequest (strictly
+// online: only past arrivals are used), then engine.SC serves it with
+// the learned windows through WindowOf.
+func (p AdaptiveTTL) Decider() engine.Decider {
+	a := &adaptive{learner: gapLearner{maxSamples: p.MaxSamples, minSamples: p.MinSamples}}
+	if a.learner.maxSamples <= 0 {
+		a.learner.maxSamples = 64
 	}
-	minSamples := p.MinSamples
-	if minSamples <= 0 {
-		minSamples = 4
+	if a.learner.minSamples <= 0 {
+		a.learner.minSamples = 4
 	}
-	learner := &gapLearner{
-		cm:         cm,
-		maxSamples: maxSamples,
-		minSamples: minSamples,
-		lastSeen:   make([]float64, seq.M+1),
-		gaps:       make([][]float64, seq.M+1),
-		window:     make([]float64, seq.M+1),
+	a.SC.WindowOf = func(j model.ServerID) float64 { return a.learner.window[j] }
+	return a
+}
+
+// adaptive is AdaptiveTTL as an engine.Decider: engine.SC with its
+// windows supplied by a gap learner.
+type adaptive struct {
+	engine.SC
+	learner gapLearner
+}
+
+// Init implements engine.Decider: every server starts at the SC window.
+func (a *adaptive) Init(st engine.State) []engine.Action {
+	g := &a.learner
+	g.cm = st.Model
+	g.lastSeen = make([]float64, st.M+1)
+	g.gaps = make([][]float64, st.M+1)
+	g.window = make([]float64, st.M+1)
+	for j := range g.lastSeen {
+		g.lastSeen[j] = -1
+		g.window[j] = st.Model.Delta()
 	}
-	for j := range learner.lastSeen {
-		learner.lastSeen[j] = -1
-		learner.window[j] = cm.Delta()
-	}
-	d := &engine.SC{WindowOf: func(j model.ServerID) float64 { return learner.windowOf(int(j)) }}
-	st, err := engine.NewStream(d, engine.State{M: seq.M, Origin: seq.Origin, Model: cm})
-	if err != nil {
-		return nil, err
-	}
-	for i := range seq.Requests {
-		r := seq.Requests[i]
-		// Observe the gap before serving so the refreshed window already
-		// reflects it (strictly online: only past arrivals are used).
-		learner.observe(int(r.Server), r.Time)
-		if _, err := st.Serve(r.Server, r.Time); err != nil {
-			return nil, err
-		}
-	}
-	return st.Finish(seq.End())
+	return a.SC.Init(st)
+}
+
+// OnRequest implements engine.Decider: learn from the arrival, then let
+// SC serve it with the refreshed window.
+func (a *adaptive) OnRequest(server model.ServerID, t float64) ([]engine.Action, error) {
+	a.learner.observe(int(server), t)
+	return a.SC.OnRequest(server, t)
 }
 
 // gapLearner tracks per-server revisit gaps and their cost-optimal windows.
@@ -88,8 +98,6 @@ type gapLearner struct {
 	gaps       [][]float64
 	window     []float64
 }
-
-func (g *gapLearner) windowOf(server int) float64 { return g.window[server] }
 
 // observe records the arrival and re-optimizes the server's window.
 func (g *gapLearner) observe(server int, t float64) {

@@ -1,11 +1,15 @@
 package online
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"datacache/internal/engine"
 	"datacache/internal/model"
 	"datacache/internal/offline"
+	"datacache/internal/workload"
 )
 
 func TestBestWindowSkiRental(t *testing.T) {
@@ -165,5 +169,88 @@ func TestAdaptiveTTLRejectsInvalid(t *testing.T) {
 	seq := &model.Sequence{M: 2, Origin: 1}
 	if _, err := (AdaptiveTTL{}).Run(seq, model.CostModel{}); err == nil {
 		t.Error("invalid cost model accepted")
+	}
+}
+
+// adaptiveReference is the AdaptiveTTL loop from before the policy
+// became an engine.Decider: the learner observes each arrival before
+// Stream.Serve drains the earlier timers, not after. Kept as the
+// differential oracle for Decider.
+func adaptiveReference(p AdaptiveTTL, seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
+	learner := &gapLearner{
+		cm:         cm,
+		maxSamples: p.MaxSamples,
+		minSamples: p.MinSamples,
+		lastSeen:   make([]float64, seq.M+1),
+		gaps:       make([][]float64, seq.M+1),
+		window:     make([]float64, seq.M+1),
+	}
+	if learner.maxSamples <= 0 {
+		learner.maxSamples = 64
+	}
+	if learner.minSamples <= 0 {
+		learner.minSamples = 4
+	}
+	for j := range learner.lastSeen {
+		learner.lastSeen[j] = -1
+		learner.window[j] = cm.Delta()
+	}
+	d := &engine.SC{WindowOf: func(j model.ServerID) float64 { return learner.window[j] }}
+	st, err := engine.NewStream(d, engine.State{M: seq.M, Origin: seq.Origin, Model: cm})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range seq.Requests {
+		learner.observe(int(r.Server), r.Time)
+		if _, err := st.Serve(r.Server, r.Time); err != nil {
+			return nil, err
+		}
+	}
+	return st.Finish(seq.End())
+}
+
+// TestAdaptiveDeciderMatchesReference pins the move of the gap learner
+// into the decider: observing after the timer drain instead of before
+// changes no schedule, because the only window read during the drain is
+// a group survivor's, which is then the lone copy and never dies. Fig. 6
+// plus seeded uniform, zipf, bursty, markov, adversarial and cycle
+// workloads over random m, μ, λ, gap and sample bounds must match
+// schedule for schedule with bit-identical cost.
+func TestAdaptiveDeciderMatchesReference(t *testing.T) {
+	fig6, fig6cm := offline.Fig6Instance()
+	check := func(name string, p AdaptiveTTL, seq *model.Sequence, cm model.CostModel) {
+		t.Helper()
+		want, err := adaptiveReference(p, seq, cm)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		got, err := p.Run(seq, cm)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: schedule differs from the reference loop", name)
+		}
+		if math.Float64bits(got.Cost(cm)) != math.Float64bits(want.Cost(cm)) {
+			t.Fatalf("%s: cost %v, reference %v", name, got.Cost(cm), want.Cost(cm))
+		}
+	}
+	check("fig6", AdaptiveTTL{}, fig6, fig6cm)
+	rng := rand.New(rand.NewSource(109))
+	for trial := 0; trial < 60; trial++ {
+		m := 2 + rng.Intn(8)
+		cm := model.CostModel{Mu: 0.2 + rng.Float64()*3, Lambda: 0.2 + rng.Float64()*3}
+		gap := 0.05 + rng.Float64()*2*cm.Delta()
+		p := AdaptiveTTL{MaxSamples: rng.Intn(20), MinSamples: rng.Intn(6)}
+		for _, g := range []workload.Generator{
+			workload.Uniform{M: m, MeanGap: gap},
+			workload.Zipf{M: m, S: 1.2 + rng.Float64(), MeanGap: gap},
+			workload.Bursty{M: m, BurstLen: 2 + rng.Intn(8), WithinGap: gap / 4, BetweenGap: gap * 6},
+			workload.MarkovHop{M: m, Stay: rng.Float64(), MeanGap: gap},
+			workload.Adversarial{M: m, Window: cm.Delta()},
+			workload.Cycle{M: m, Gap: gap},
+		} {
+			check(g.Name(), p, g.Generate(rng, 40+rng.Intn(120)), cm)
+		}
 	}
 }

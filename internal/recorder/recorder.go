@@ -64,7 +64,9 @@ type StreamInfo struct {
 	Origin int     `json:"origin"`
 	Mu     float64 `json:"mu"`
 	Lambda float64 `json:"lambda"`
-	// Policy configuration, mirroring datacache.SessionOptions.
+	// Policy is the live policy's canonical spec, parameters included.
+	// Older recorders wrote window and epoch beside a bare policy name;
+	// replay folds them into the spec for kinds that take the key.
 	Policy string  `json:"policy,omitempty"`
 	Window float64 `json:"window,omitempty"`
 	Epoch  int     `json:"epoch,omitempty"`

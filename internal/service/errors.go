@@ -25,7 +25,6 @@ const (
 	CodeNotFound         ErrCode = "not_found"          // unknown id, route or operation (404)
 	CodeMethodNotAllowed ErrCode = "method_not_allowed" // wrong HTTP verb (405)
 	CodeConflict         ErrCode = "conflict"           // operation against a closed session (409)
-	CodeGone             ErrCode = "gone"               // retired endpoint (410)
 	CodeOverloaded       ErrCode = "overloaded"         // per-session inflight budget exceeded (429)
 	CodeCanceled         ErrCode = "canceled"           // client disconnected mid-operation (499)
 	CodeInternal         ErrCode = "internal"           // server-side failure (500)
@@ -48,8 +47,6 @@ func codeForStatus(status int) ErrCode {
 		return CodeMethodNotAllowed
 	case http.StatusConflict:
 		return CodeConflict
-	case http.StatusGone:
-		return CodeGone
 	case http.StatusTooManyRequests:
 		return CodeOverloaded
 	case StatusClientClosedRequest:

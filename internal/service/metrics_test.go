@@ -473,6 +473,17 @@ func TestErrorEnvelopeAcrossRoutes(t *testing.T) {
 		{"bad generate params", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader(`{"workload":"uniform","m":0,"n":5,"seed":1}`))
 		}, http.StatusBadRequest, CodeBadRequest},
+		// Unmounted paths, the retired /metricz alias included, answer
+		// 404 inside the envelope rather than the mux's plain text.
+		{"unknown route", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/metricz")
+		}, http.StatusNotFound, CodeNotFound},
+		{"unknown top-level route", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/nope")
+		}, http.StatusNotFound, CodeNotFound},
+		{"unknown nested route", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/v1/sessionz", "application/json", strings.NewReader(`{}`))
+		}, http.StatusNotFound, CodeNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -494,33 +505,9 @@ func TestErrorEnvelopeAcrossRoutes(t *testing.T) {
 			if body.Error.Message == "" || body.Error.RequestID == "" {
 				t.Errorf("incomplete envelope: %+v", body.Error)
 			}
+			if got := resp.Header.Get("X-Request-Id"); got != body.Error.RequestID {
+				t.Errorf("X-Request-Id %q, envelope request_id %q", got, body.Error.RequestID)
+			}
 		})
-	}
-}
-
-// TestMetriczRetired pins the tombstone of the removed JSON alias: 410
-// Gone, with the structured error envelope pointing at /metrics.
-func TestMetriczRetired(t *testing.T) {
-	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/metricz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("/metricz status = %d, want 410 Gone", resp.StatusCode)
-	}
-	var body ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Error.Code != CodeGone {
-		t.Errorf("/metricz envelope code = %q, want %q", body.Error.Code, CodeGone)
-	}
-	if !strings.Contains(body.Error.Message, "/metrics") {
-		t.Errorf("/metricz envelope message %q should point at /metrics", body.Error.Message)
-	}
-	if body.Error.RequestID == "" {
-		t.Error("/metricz envelope missing request_id")
 	}
 }

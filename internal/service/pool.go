@@ -47,19 +47,16 @@ type poolEntry struct {
 	pubEvict int             // evictions already published to the counter
 }
 
-// PoolCreateRequest is the /v1/pool body. Policy/window/epoch configure
-// the per-item engines; maxItems bounds live engine state (0 unbounded)
+// PoolCreateRequest is the /v1/pool body. Policy configures the
+// per-item engines; maxItems bounds live engine state (0 unbounded)
 // with LRU eviction beyond it.
 type PoolCreateRequest struct {
 	M      int            `json:"m"`
 	Origin model.ServerID `json:"origin"`
 	Model  CostModelDTO   `json:"model"`
 	// Policy is a PolicySpec string for every item engine ("sc",
-	// "ttl:window=0.5", "hybrid:horizon=8,order=2", ...); Window and Epoch
-	// apply when the spec does not carry its own.
+	// "ttl:window=0.5", "hybrid:horizon=8,order=2", ...).
 	Policy   string   `json:"policy,omitempty"`
-	Window   float64  `json:"window,omitempty"`
-	Epoch    int      `json:"epoch,omitempty"`
 	MaxItems int      `json:"maxItems,omitempty"`
 	Shadows  []string `json:"shadows,omitempty"` // counterfactual policy specs
 }
@@ -329,8 +326,6 @@ func (s *Server) handlePoolCreate(w http.ResponseWriter, r *http.Request) {
 	pool, err := datacache.NewPool(req.M, req.Origin, req.Model.toModel(), &datacache.PoolOptions{
 		Session: datacache.SessionOptions{
 			Policy:         req.Policy,
-			Window:         req.Window,
-			EpochTransfers: req.Epoch,
 			Observer:       s.poolObserver(),
 			ShadowPolicies: shadows,
 			ShadowMargin:   -1,

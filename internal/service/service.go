@@ -8,8 +8,9 @@
 // (propagated as the X-Request-Id header, into error bodies and into the
 // structured log), a status-labeled request counter and a per-route
 // latency histogram. /metrics renders the whole registry in the
-// Prometheus text exposition format (the retired /metricz JSON alias
-// answers 410 Gone). Live sessions additionally export
+// Prometheus text exposition format; every unmounted path, retired
+// routes such as /metricz included, answers 404 inside the error
+// envelope. Live sessions additionally export
 // engine decision counters, a decision-latency histogram, per-session
 // cost / optimum / cost_over_optimum / live_copies gauges, and a bounded
 // event trace at GET /v1/session/{id}/trace.
@@ -58,7 +59,7 @@ import (
 )
 
 // Version identifies the service build in /healthz and /v1/spec.
-const Version = "1.9.0"
+const Version = "1.10.0"
 
 // DefaultTraceCap bounds each session's decision-event ring unless
 // WithTraceCap overrides it.
@@ -106,7 +107,6 @@ type Server struct {
 	// serving performs no registry lookups (and, unlike the former
 	// map[string]int64 counter, takes no server-wide lock).
 	httpRequests   *obs.CounterVec   // route, code
-	routeHits      *obs.CounterVec   // route (the legacy /metricz shape)
 	httpLatency    *obs.HistogramVec // route
 	engineEvents   *obs.CounterVec   // kind: request|hit|transfer|drop|timer|epoch-reset|mispredict
 	engineEventK   []*obs.Counter    // the same counters indexed by obs.EventKind
@@ -305,15 +305,15 @@ var routeDocs = map[string]string{
 	"/v1/optimize":        "POST {sequence, model, schedule?, vectors?} -> optimum, bounds, single-copy cost",
 	"/v1/explain":         "POST {sequence, model} -> per-request service decisions",
 	"/v1/render":          "POST {sequence, model, width?} -> text space-time diagram",
-	"/v1/simulate":        "POST {sequence, model, policy, window?, epoch?} -> online cost vs optimum",
+	"/v1/simulate":        "POST {sequence, model, policy?} -> online cost vs optimum; policy is a policy spec (default sc)",
 	"/v1/generate":        "POST {workload, m, n, seed, gap?} -> synthetic sequence",
-	"/v1/plan":            "POST {m, model, events, online?} -> per-item catalog plan",
-	"/v1/policies":        "GET policy names",
+	"/v1/plan":            "POST {m, model, events, online?} -> per-item catalog plan; online is a policy spec to bill each item with",
+	"/v1/policies":        "GET the policy kinds every policy spec field accepts",
 	"/v1/stream":          "POST {m, origin, model} -> incremental planning stream",
 	"/v1/stream/":         "POST {id}/append, GET {id}, GET {id}/schedule, DELETE {id}",
-	"/v1/session":         "POST {m, origin, model, policy?, window?, epoch?, shadows?} -> live policy-serving session (201 + Location)",
+	"/v1/session":         "POST {m, origin, model, policy?, shadows?} -> live policy-serving session (201 + Location); policy and shadows are policy specs",
 	"/v1/session/":        "POST {id}/request, POST {id}/requests (bulk: JSON {requests:[{server,t}]} or NDJSON lines; partial apply + firstRejected), GET {id}, GET {id}/schedule, GET {id}/trace, GET {id}/slo, GET {id}/shadow (counterfactual policy standings), GET {id}/record?mode=binary|ndjson (download the session's flight recording; 404 without -record-dir), DELETE {id} (close; returns final state + schedule)",
-	"/v1/pool":            "POST {m, origin, model, policy?, window?, epoch?, maxItems?, shadows?} -> multi-item multi-tenant serving pool (201 + Location)",
+	"/v1/pool":            "POST {m, origin, model, policy?, maxItems?, shadows?} -> multi-item multi-tenant serving pool (201 + Location)",
 	"/v1/pool/":           "POST {id}/request ({tenant?, item, server, t}), POST {id}/requests (bulk, grouped by item under one lock; per-item partial apply), GET {id} (stats + tenant rollups), GET {id}/items?by=cost|regret&limit=k, GET {id}/shadow (pool-wide counterfactual policy standings), GET {id}/record?mode=binary|ndjson (download the pool's flight recording; 404 without -record-dir), DELETE {id} (close; retains final stats)",
 	"/v1/alerts":          "GET every live session's SLO alerts plus metric_anomaly standings from the history store (pending, firing, resolved)",
 	"/v1/traces":          "GET retained traces, regret-descending; filters: session, min_regret, min_duration, error, limit",
@@ -322,7 +322,6 @@ var routeDocs = map[string]string{
 	"/v1/spec":            "GET this route list",
 	"/readyz":             "GET readiness: degraded while any SLO alert is firing",
 	"/metrics":            "GET Prometheus text-format metrics (HTTP, engine, per-session, SLO); Accept: application/openmetrics-text selects OpenMetrics 1.0 with trace exemplars",
-	"/metricz":            "RETIRED (410 Gone since 1.8.0): the JSON alias of /metrics; scrape /metrics instead",
 }
 
 // New builds the service with all routes mounted.
@@ -360,8 +359,6 @@ func New(opts ...Option) *Server {
 	s.tracer = tracer
 	s.httpRequests = s.reg.CounterVec("dc_http_requests_total",
 		"HTTP requests served, by route and status code.", "route", "code")
-	s.routeHits = s.reg.CounterVec("dc_http_route_requests_total",
-		"HTTP requests served, by route (the /metricz counter).", "route")
 	s.httpLatency = s.reg.HistogramVec("dc_http_request_seconds",
 		"HTTP request latency in seconds, by route.", nil, "route")
 	s.engineEvents = s.reg.CounterVec("dc_engine_events_total",
@@ -511,7 +508,7 @@ func New(opts ...Option) *Server {
 	s.mount("/v1/spec", s.handleSpec)
 	s.mount("/readyz", s.handleReady)
 	s.mount("/metrics", s.handlePrometheus)
-	s.mount("/metricz", s.handleMetricz)
+	s.mount("/", s.handleNotFound)
 	return s
 }
 
@@ -552,7 +549,6 @@ func (s *Server) mount(route string, h http.HandlerFunc) {
 		span.Error = sw.code >= 500
 		span.Shed = sw.code == http.StatusTooManyRequests
 		kept := span.End()
-		s.routeHits.With(route).Inc()
 		s.httpRequests.With(route, strconv.Itoa(sw.code)).Inc()
 		if kept {
 			s.httpLatency.With(route).ObserveExemplar(elapsed.Seconds(), span.TraceID)
@@ -590,13 +586,10 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	s.reg.WritePrometheus(w)
 }
 
-// handleMetricz is the tombstone of the retired JSON alias: deprecated
-// in 1.4, removed in 1.8. The route stays mounted so old scrapers get a
-// structured 410 envelope pointing at /metrics instead of a confusing
-// 404.
-func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	s.httpError(w, r, http.StatusGone,
-		fmt.Errorf("/metricz was retired in 1.8.0; scrape /metrics (Prometheus text format)"))
+// handleNotFound answers every path no route claims, retired routes
+// included, with a 404 inside the error envelope.
+func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
+	s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown route %s", r.URL.Path))
 }
 
 // --- DTOs ---
@@ -636,9 +629,7 @@ type OptimizeResponse struct {
 type SimulateRequest struct {
 	Sequence *model.Sequence `json:"sequence"`
 	Model    CostModelDTO    `json:"model"`
-	Policy   string          `json:"policy"` // sc | ttl | adaptive | migrate | keep
-	Window   float64         `json:"window,omitempty"`
-	Epoch    int             `json:"epoch,omitempty"`
+	Policy   string          `json:"policy"` // a policy spec; empty means sc
 }
 
 // SimulateResponse is the /v1/simulate reply.
@@ -807,13 +798,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("missing sequence"))
 		return
 	}
-	p, err := pickPolicy(req.Policy, req.Window, req.Epoch)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, err)
-		return
+	var sp datacache.PolicySpec // the zero spec is sc
+	if req.Policy != "" {
+		var err error
+		if sp, err = datacache.ParsePolicySpec(req.Policy); err != nil {
+			s.httpError(w, r, http.StatusBadRequest, err)
+			return
+		}
 	}
 	cm := req.Model.toModel()
-	run, err := online.Run(p, req.Sequence, cm)
+	run, err := datacache.Serve(sp, req.Sequence, cm)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
@@ -824,7 +818,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := SimulateResponse{
-		Policy:    p.Name(),
+		Policy:    sp.Name(),
 		Cost:      run.Stats.Cost,
 		Transfers: run.Stats.Transfers,
 		CacheHits: run.Stats.CacheHits,
@@ -836,23 +830,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		resp.Ratio = 1
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func pickPolicy(name string, window float64, epoch int) (online.Runner, error) {
-	switch strings.ToLower(name) {
-	case "", "sc":
-		return online.SpeculativeCaching{EpochTransfers: epoch}, nil
-	case "ttl":
-		return online.SpeculativeCaching{Window: window}, nil
-	case "adaptive":
-		return online.AdaptiveTTL{}, nil
-	case "migrate":
-		return online.AlwaysMigrate{}, nil
-	case "keep":
-		return online.KeepEverywhere{}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -893,7 +870,7 @@ type PlanRequest struct {
 	M      int           `json:"m"`
 	Model  CostModelDTO  `json:"model"`
 	Events []multi.Event `json:"events"`
-	Online string        `json:"online,omitempty"` // also serve per item with this policy
+	Online string        `json:"online,omitempty"` // also serve per item with this policy spec
 }
 
 // PlanItem is one item's line of the /v1/plan reply.
@@ -927,12 +904,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		resp.Items = append(resp.Items, PlanItem{Item: rep.Item, Requests: rep.Requests, Planned: rep.Cost})
 	}
 	if req.Online != "" {
-		p, err := pickPolicy(req.Online, 0, 0)
+		sp, err := datacache.ParsePolicySpec(req.Online)
 		if err != nil {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		serveReps, serveTotal, err := multi.Serve(cat, req.Events, func() online.Runner { return p })
+		serveReps, serveTotal, err := multi.Serve(cat, req.Events, func() online.Runner { return sp })
 		if err != nil {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return
@@ -946,7 +923,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, []string{"sc", "ttl", "adaptive", "migrate", "keep"})
+	writeJSON(w, http.StatusOK, datacache.PolicyKinds())
 }
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {

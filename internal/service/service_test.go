@@ -7,10 +7,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"datacache"
 	"datacache/internal/model"
 	"datacache/internal/multi"
 	"datacache/internal/offline"
@@ -180,29 +182,48 @@ func TestRenderEndpoint(t *testing.T) {
 func TestSimulateEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	seq, cm := offline.Fig6Instance()
-	for _, policy := range []string{"sc", "ttl", "adaptive", "migrate", "keep"} {
+	canonical := map[string]string{
+		"":                         "sc",
+		"sc":                       "sc",
+		"sc:epoch=2":               "sc:epoch=2",
+		"ttl:window=0.5":           "ttl:window=0.5",
+		"adaptive":                 "adaptive",
+		"migrate":                  "migrate",
+		"keep":                     "replicate",
+		"hybrid:horizon=8,order=2": "hybrid:horizon=8,order=2",
+	}
+	for policy, name := range canonical {
 		var out SimulateResponse
 		resp := post(t, ts.URL+"/v1/simulate", SimulateRequest{
 			Sequence: seq,
 			Model:    CostModelDTO{Mu: cm.Mu, Lambda: cm.Lambda},
 			Policy:   policy,
-			Window:   0.5,
 		}, &out)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", policy, resp.StatusCode)
 		}
+		if out.Policy != name {
+			t.Errorf("%q: reply names %q, want %q", policy, out.Policy, name)
+		}
 		if out.Cost < out.Optimal-1e-9 {
 			t.Errorf("%s: cost %v below optimum %v", policy, out.Cost, out.Optimal)
 		}
-		if policy == "sc" && out.Ratio > 3 {
+		if name == "sc" && out.Ratio > 3 {
 			t.Errorf("sc ratio %v > 3", out.Ratio)
 		}
 	}
-	resp := post(t, ts.URL+"/v1/simulate", SimulateRequest{
-		Sequence: seq, Model: CostModelDTO{Mu: 1, Lambda: 1}, Policy: "nope",
-	}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown policy: status %d", resp.StatusCode)
+	for _, bad := range []string{"nope", "ttl", "ttl:window=1,epoch=3", "SC"} {
+		resp := post(t, ts.URL+"/v1/simulate", SimulateRequest{
+			Sequence: seq, Model: CostModelDTO{Mu: 1, Lambda: 1}, Policy: bad,
+		}, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("policy %q: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	// The window and epoch fields are retired: the spec carries them.
+	retired := `{"sequence":{"M":2,"Origin":1,"Requests":[{"Server":2,"Time":1}]},"model":{"mu":1,"lambda":1},"policy":"ttl","window":0.5}`
+	if resp := post(t, ts.URL+"/v1/simulate", json.RawMessage(retired), nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("retired window field: status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -291,8 +312,8 @@ func TestPoliciesEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&names); err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 5 {
-		t.Errorf("policies = %v", names)
+	if want := datacache.PolicyKinds(); !reflect.DeepEqual(names, want) {
+		t.Errorf("policies = %v, want the spec kinds %v", names, want)
 	}
 }
 
@@ -409,20 +430,14 @@ func TestSpecAndMetrics(t *testing.T) {
 	var spec map[string]string
 	json.NewDecoder(resp.Body).Decode(&spec)
 	resp.Body.Close()
-	for _, route := range []string{"/v1/optimize", "/v1/stream", "/metricz"} {
+	for _, route := range []string{"/v1/optimize", "/v1/stream", "/metrics"} {
 		if _, ok := spec[route]; !ok {
 			t.Errorf("spec missing %s", route)
 		}
 	}
-
-	// The former JSON alias is retired: mounted, but a 410 tombstone.
-	resp2, err := http.Get(ts.URL + "/metricz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusGone {
-		t.Errorf("/metricz status = %d, want 410 Gone", resp2.StatusCode)
+	// The retired /metricz alias has no route of its own.
+	if _, ok := spec["/metricz"]; ok {
+		t.Error("spec still lists the retired /metricz")
 	}
 }
 

@@ -58,12 +58,10 @@ type SessionCreateRequest struct {
 	M      int            `json:"m"`
 	Origin model.ServerID `json:"origin"`
 	Model  CostModelDTO   `json:"model"`
-	// Policy is a PolicySpec string: "sc", "ttl:window=0.5", "sc:epoch=16",
-	// "migrate", "replicate" or "hybrid:horizon=8,order=2". Window and
-	// Epoch below apply when the spec does not carry its own.
-	Policy string  `json:"policy,omitempty"`
-	Window float64 `json:"window,omitempty"`
-	Epoch  int     `json:"epoch,omitempty"`
+	// Policy is a PolicySpec string, parameters included: "sc" (the
+	// default when empty), "ttl:window=0.5", "sc:epoch=16", "adaptive",
+	// "migrate", "replicate" or "hybrid:horizon=8,order=2".
+	Policy string `json:"policy,omitempty"`
 	// Shadows lists counterfactual policies to evaluate in lockstep with
 	// live serving ("sc:window=1.5", "ttl:window=0.5", "sc:epoch=16",
 	// "migrate", "replicate"); standings at GET {id}/shadow.
@@ -408,8 +406,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("sn-%d", s.nextID.Add(1))
 	sess, err := datacache.NewSession(req.M, req.Origin, req.Model.toModel(), &datacache.SessionOptions{
 		Policy:         req.Policy,
-		Window:         req.Window,
-		EpochTransfers: req.Epoch,
 		TraceCap:       s.traceCap,
 		SLOWindow:      s.sloWindow,
 		Observer:       s.engineObserver(entry),

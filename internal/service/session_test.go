@@ -174,12 +174,9 @@ func TestSessionConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			policy := []string{"sc", "ttl", "migrate", "replicate"}[k%4]
+			policy := []string{"sc", "ttl:window=0.5", "migrate", "replicate"}[k%4]
 			create := SessionCreateRequest{
 				M: 3, Origin: 1, Model: CostModelDTO{Mu: 1, Lambda: 2}, Policy: policy,
-			}
-			if policy == "ttl" {
-				create.Window = 0.5
 			}
 			buf, _ := json.Marshal(create)
 			resp, err := http.Post(ts.URL+"/v1/session", "application/json", bytes.NewReader(buf))
@@ -291,7 +288,7 @@ func TestHybridSessionEndpoint(t *testing.T) {
 		M: 4, Origin: 1, Model: CostModelDTO{Mu: 1, Lambda: 2},
 		Policy: "hybrid:horizon=6,order=2",
 	}, &st)
-	if resp.StatusCode != http.StatusCreated || st.Policy != "hybrid" {
+	if resp.StatusCode != http.StatusCreated || st.Policy != "hybrid:horizon=6,order=2" {
 		t.Fatalf("create: status %d, state %+v", resp.StatusCode, st)
 	}
 	if st.Planner == nil {

@@ -45,7 +45,7 @@ type PoolRequest struct {
 // ratio tracking.
 type PoolOptions struct {
 	// Session is the template every per-item session is opened from
-	// (policy, window, epochs, trace ring, observer). Per-item SLO
+	// (policy spec, trace ring, observer). Per-item SLO
 	// tracking follows the template's SLOWindow; the pool's own tenant
 	// trackers are configured by TenantSLOWindow below.
 	Session SessionOptions
@@ -267,7 +267,7 @@ func cloneSessionOptions(tpl SessionOptions) *SessionOptions {
 		o.SLORules = append([]AlertRule(nil), tpl.SLORules...)
 	}
 	if tpl.ShadowPolicies != nil {
-		o.ShadowPolicies = append([]ShadowPolicy(nil), tpl.ShadowPolicies...)
+		o.ShadowPolicies = append([]PolicySpec(nil), tpl.ShadowPolicies...)
 	}
 	return &o
 }
@@ -690,8 +690,8 @@ func (p *Pool) SetRecordTraceID(id string) {
 // runs no shadows. The slice is shared; treat it as read-only.
 func (p *Pool) ShadowNames() []string { return p.shadowNames }
 
-// Policy reports the canonical name of the live policy every item
-// engine runs ("sc", "ttl", "migrate", "replicate").
+// Policy reports the canonical spec of the live policy every item
+// engine runs ("sc", "ttl:window=0.5", "migrate", ...).
 func (p *Pool) Policy() string { return p.livePolicy }
 
 // ShadowCosts returns the pool-wide per-shadow cost accumulators

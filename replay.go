@@ -3,6 +3,7 @@ package datacache
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"datacache/internal/engine"
@@ -36,7 +37,7 @@ type ReplayOptions struct {
 	// Window is the rolling hindsight-ratio window in requests (default
 	// DefaultShadowWindow).
 	Window int
-	// Shadows, when non-empty, runs these policy specs (ParseShadowPolicy
+	// Shadows, when non-empty, runs these policy specs (ParsePolicySpec
 	// syntax, e.g. "sc", "ttl:window=2", "migrate") as shadows on every
 	// replayed stream and reports the aggregated panel.
 	Shadows []string
@@ -159,13 +160,9 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 	if window <= 0 {
 		window = DefaultShadowWindow
 	}
-	var shadows []ShadowPolicy
-	if len(opts.Shadows) > 0 {
-		var err error
-		shadows, err = WithShadowPolicies(opts.Shadows...)
-		if err != nil {
-			return nil, err
-		}
+	shadows, err := WithShadowPolicies(opts.Shadows...)
+	if err != nil {
+		return nil, err
 	}
 	rep := &ReplayReport{Files: len(recs), BitwiseOK: true, Window: window}
 	streams := map[uint32]*replayStream{}
@@ -202,20 +199,7 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 					continue
 				}
 				// Fresh incarnation: fresh session from the recorded config.
-				sopts := &SessionOptions{
-					Policy:         r.Info.Policy,
-					Window:         r.Info.Window,
-					EpochTransfers: r.Info.Epoch,
-					ShadowPolicies: shadows,
-				}
-				if shadows != nil {
-					// Each session needs its own shadow instances.
-					var err error
-					sopts.ShadowPolicies, err = WithShadowPolicies(opts.Shadows...)
-					if err != nil {
-						return nil, err
-					}
-				}
+				sopts := &SessionOptions{Policy: recordedSpec(r.Info), ShadowPolicies: shadows}
 				cm := CostModel{Mu: r.Info.Mu, Lambda: r.Info.Lambda}
 				sess, err := NewSession(r.Info.M, ServerID(r.Info.Origin), cm, sopts)
 				if err != nil {
@@ -358,6 +342,31 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 		rep.ShadowPanel = replayShadowPanel(streams, order, window, rep.LiveCost, rep.HindsightOpt)
 	}
 	return rep, nil
+}
+
+// recordedSpec rebuilds a stream's live policy spec from its recorded
+// declaration. Older recordings carry window and epoch in fields of
+// their own next to a bare or empty policy; those fold into the spec
+// only for kinds that take the key, as the session that recorded them
+// ignored them otherwise. An unknown policy renders as is, for
+// NewSession to reject.
+func recordedSpec(info *recorder.StreamInfo) string {
+	var sp PolicySpec
+	if info.Policy != "" {
+		var err error
+		if sp, err = parsePolicySpec(info.Policy); err != nil {
+			return info.Policy
+		}
+	}
+	if k := kindOf(sp.Policy); k != nil {
+		if sp.Window == 0 && slices.Contains(k.keys, "window") {
+			sp.Window = info.Window
+		}
+		if sp.EpochTransfers == 0 && slices.Contains(k.keys, "epoch") {
+			sp.EpochTransfers = info.Epoch
+		}
+	}
+	return sp.Spec()
 }
 
 // replayShadowPanel aggregates the counterfactual standings across every

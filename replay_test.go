@@ -216,3 +216,67 @@ func TestReplayRotatedFilesContinueStreams(t *testing.T) {
 		t.Fatalf("tail-only replay: %+v", tail.Streams)
 	}
 }
+
+// TestReplayLegacyStreamInfo pins replay of recordings made while window
+// and epoch were option-level knobs: the recorder wrote them beside a
+// bare or empty policy name, and replay folds them back into the spec —
+// only for kinds that take the key, as the recording session ignored
+// them otherwise — reproducing the recorded costs bit for bit.
+func TestReplayLegacyStreamInfo(t *testing.T) {
+	cases := []struct {
+		name   string
+		info   recorder.StreamInfo // policy, window and epoch as an older recorder wrote them
+		served string              // the spec the recording session served
+	}{
+		{"empty+epoch", recorder.StreamInfo{Epoch: 3}, "sc:epoch=3"},
+		{"ttl+window", recorder.StreamInfo{Policy: "ttl", Window: 0.7}, "ttl:window=0.7"},
+		{"sc+epoch", recorder.StreamInfo{Policy: "sc", Epoch: 3}, "sc:epoch=3"},
+		{"migrate+window", recorder.StreamInfo{Policy: "migrate", Window: 0.7}, "migrate"},
+	}
+	for _, tc := range cases {
+		for _, mode := range []string{recorder.ModeBinary, recorder.ModeNDJSON} {
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				dir := t.TempDir()
+				w, err := recorder.NewWriter(recorder.Options{Dir: dir, Mode: mode, Source: "test"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				info := tc.info
+				info.Session, info.M, info.Origin, info.Mu, info.Lambda = "sn-1", 4, 1, 1, 2
+				id := w.OpenStream(info)
+				sess, err := NewSession(4, 1, CostModel{Mu: 1, Lambda: 2}, &SessionOptions{Policy: tc.served})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(7))
+				tm := 0.0
+				for i := 0; i < 200; i++ {
+					tm += rng.ExpFloat64()
+					d, err := sess.Serve(ServerID(rng.Intn(4)+1), tm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := w.Append(recorder.Record{Kind: recorder.KindServe, Stream: id, Time: d.Time,
+						Server: int(d.Server), From: int(d.From), Hit: d.Hit, Drops: d.Drops,
+						Cost: d.Cost, Optimal: d.Optimal}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				w.CloseStream(id)
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := ReplayPath(dir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.BitwiseOK || rep.Records != 200 {
+					t.Fatalf("replay of %+v: bitwise %v over %d records: %+v", tc.info, rep.BitwiseOK, rep.Records, rep.Streams)
+				}
+				if got := rep.Streams[0].Policy; got != tc.served {
+					t.Errorf("replayed policy %q, want %q", got, tc.served)
+				}
+			})
+		}
+	}
+}

@@ -69,21 +69,11 @@ func Theorem3Rule() AlertRule { return obs.Theorem3Rule() }
 // SessionOptions selects and parameterizes the policy behind a Session.
 // The zero value (or a nil *SessionOptions) is the paper's canonical SC.
 type SessionOptions struct {
-	// Policy selects the live policy as a PolicySpec string: "sc"
-	// (default), "ttl" (fixed retention window, requires a window),
-	// "migrate" (single nomadic copy), "replicate"/"keep" (replicate on
-	// first touch, never delete) or "hybrid" (prediction-fed planner with
-	// SC fallback). Parameters may ride in the spec
-	// ("ttl:window=0.5", "sc:epoch=16", "hybrid:horizon=8,order=2") or in
-	// the fields below; spec-carried values win.
+	// Policy selects the live policy as a PolicySpec string, parameters
+	// included: "sc" (the default when empty), "sc:epoch=16",
+	// "ttl:window=0.5", "adaptive", "migrate", "replicate" or
+	// "hybrid:horizon=8,order=2".
 	Policy string
-	// Window overrides the speculative window Δt = Lambda/Mu for "sc" and
-	// "hybrid", and sets the retention window for "ttl". Ignored when the
-	// Policy spec carries window=.
-	Window float64
-	// EpochTransfers enables SC's epoch restarts (0 disables them).
-	// Ignored when the Policy spec carries epoch=.
-	EpochTransfers int
 	// TraceCap, when positive, keeps a bounded ring of the most recent
 	// TraceCap decision events, readable via Trace. Zero disables the ring.
 	TraceCap int
@@ -105,7 +95,7 @@ type SessionOptions struct {
 	// Build the slice with WithShadowPolicies(specs...); read the
 	// standings via Shadows / ShadowReport. At most engine.MaxShadows
 	// policies; labels must be unique and differ from the live policy's.
-	ShadowPolicies []ShadowPolicy
+	ShadowPolicies []PolicySpec
 	// ShadowWindow sets the rolling cost window (requests) behind the
 	// shadow-vs-live windowed comparison. Zero falls back to SLOWindow,
 	// then DefaultShadowWindow.
@@ -199,9 +189,8 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 	if opts == nil {
 		opts = &SessionOptions{}
 	}
-	// The live policy is one PolicySpec: parse the spec string loosely,
-	// merge in the option-level parameters where the spec left them unset,
-	// and let the decider construction validate the result.
+	// The live policy is one PolicySpec; the decider construction
+	// validates it.
 	var sp PolicySpec
 	if opts.Policy != "" {
 		var err error
@@ -209,17 +198,10 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 			return nil, err
 		}
 	}
-	if sp.Window == 0 {
-		sp.Window = opts.Window
-	}
-	if sp.EpochTransfers == 0 {
-		sp.EpochTransfers = opts.EpochTransfers
-	}
 	d, err := sp.decider()
 	if err != nil {
 		return nil, err
 	}
-	policy := sp.name()
 	if err := cm.Validate(); err != nil {
 		return nil, err
 	}
@@ -268,7 +250,7 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 		}
 		slo = obs.NewSLO(opts.SLOWindow, rules...)
 	}
-	s := &Session{policy: policy, cm: cm, stream: stream, inc: inc, ring: ring, slo: slo, hybrid: hybrid, scShadowIdx: -1}
+	s := &Session{policy: sp.Spec(), cm: cm, stream: stream, inc: inc, ring: ring, slo: slo, hybrid: hybrid, scShadowIdx: -1}
 	if hybrid != nil {
 		// A hybrid live policy always runs its own SC fallback as a shadow
 		// — the built-in self-check that planning never loses to the pure
@@ -276,7 +258,7 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 		// "sc". The options are copied, not mutated.
 		hasSC := false
 		for _, shp := range opts.ShadowPolicies {
-			if shp.label() == "sc" {
+			if shp.Name() == "sc" {
 				hasSC = true
 			}
 		}
@@ -310,11 +292,9 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 			Origin:  int(origin),
 			Mu:      cm.Mu,
 			Lambda:  cm.Lambda,
-			// The full canonical spec, not the bare name, so replayed
-			// hybrid sessions rebuild identical horizon/order parameters.
-			Policy: sp.Spec(),
-			Window: opts.Window,
-			Epoch:  opts.EpochTransfers,
+			// The full canonical spec, so replay rebuilds the identical
+			// decider parameters.
+			Policy: s.policy,
 		})
 	}
 	return s, nil
@@ -491,7 +471,7 @@ func (s *Session) CostBreakdown() []ServerCost { return s.stream.CostBreakdown(s
 // synchronization: read it only while no Serve is in flight.
 func (s *Session) SLO() *SLO { return s.slo }
 
-// Policy returns the canonical name of the session's policy.
+// Policy returns the canonical spec of the session's policy (Spec()).
 func (s *Session) Policy() string { return s.policy }
 
 // PlannerStats is the hybrid planner's point-in-time readout: plan

@@ -37,8 +37,9 @@ func TestSessionMatchesBatchRun(t *testing.T) {
 		policy datacache.Policy
 	}{
 		{"sc", nil, datacache.SpeculativeCaching{}},
-		{"sc-epoch", &datacache.SessionOptions{EpochTransfers: 3}, datacache.SpeculativeCaching{EpochTransfers: 3}},
-		{"ttl", &datacache.SessionOptions{Policy: "ttl", Window: 0.7}, datacache.SpeculativeCaching{Window: 0.7}},
+		{"sc-epoch", &datacache.SessionOptions{Policy: "sc:epoch=3"}, datacache.SpeculativeCaching{EpochTransfers: 3}},
+		{"ttl", &datacache.SessionOptions{Policy: "ttl:window=0.7"}, datacache.SpeculativeCaching{Window: 0.7}},
+		{"adaptive", &datacache.SessionOptions{Policy: "adaptive"}, datacache.AdaptiveTTL{}},
 		{"migrate", &datacache.SessionOptions{Policy: "migrate"}, datacache.AlwaysMigrate{}},
 		{"replicate", &datacache.SessionOptions{Policy: "replicate"}, datacache.KeepEverywhere{}},
 	}

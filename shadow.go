@@ -110,7 +110,7 @@ func (s *Session) initShadows(m int, origin ServerID, opts *SessionOptions) erro
 		if err != nil {
 			return err
 		}
-		label := sp.label()
+		label := sp.Name()
 		if seen[label] {
 			return fmt.Errorf("datacache: duplicate shadow policy label %q", label)
 		}

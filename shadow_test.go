@@ -19,8 +19,9 @@ var shadowEquivalenceCases = []struct {
 	spec string
 }{
 	{"sc", datacache.SessionOptions{}, "sc"},
-	{"sc-epoch", datacache.SessionOptions{EpochTransfers: 3}, "sc:epoch=3"},
-	{"ttl", datacache.SessionOptions{Policy: "ttl", Window: 0.7}, "ttl:window=0.7"},
+	{"sc-epoch", datacache.SessionOptions{Policy: "sc:epoch=3"}, "sc:epoch=3"},
+	{"ttl", datacache.SessionOptions{Policy: "ttl:window=0.7"}, "ttl:window=0.7"},
+	{"adaptive", datacache.SessionOptions{Policy: "adaptive"}, "adaptive"},
 	{"migrate", datacache.SessionOptions{Policy: "migrate"}, "migrate"},
 	{"replicate", datacache.SessionOptions{Policy: "replicate"}, "replicate"},
 }
@@ -108,42 +109,52 @@ func TestShadowSelfEquivalence(t *testing.T) {
 	}
 }
 
+// TestParseShadowPolicy pins shadow-list parsing: WithShadowPolicies
+// accepts exactly the PolicySpec grammar, renders each entry
+// canonically, refuses the whole list when one entry is bad, and leaves
+// the duplicate-label check to session create.
 func TestParseShadowPolicy(t *testing.T) {
 	good := map[string]string{
 		"sc":             "sc",
 		"sc:epoch=16":    "sc:epoch=16",
 		"sc:window=1.5":  "sc:window=1.5",
 		"ttl:window=0.5": "ttl:window=0.5",
+		"adaptive":       "adaptive",
 		"migrate":        "migrate",
 		"replicate":      "replicate",
 	}
 	for spec, want := range good {
-		sp, err := datacache.ParseShadowPolicy(spec)
+		sps, err := datacache.WithShadowPolicies(spec)
 		if err != nil {
-			t.Errorf("ParseShadowPolicy(%q): %v", spec, err)
+			t.Errorf("WithShadowPolicies(%q): %v", spec, err)
 			continue
 		}
-		if got := sp.Spec(); got != want {
-			t.Errorf("ParseShadowPolicy(%q).Spec() = %q, want %q", spec, got, want)
+		if len(sps) != 1 {
+			t.Fatalf("WithShadowPolicies(%q) returned %d specs, want 1", spec, len(sps))
+		}
+		if got := sps[0].Spec(); got != want {
+			t.Errorf("WithShadowPolicies(%q)[0].Spec() = %q, want %q", spec, got, want)
 		}
 	}
 	bad := []string{"", "ttl", "ttl:window=0", "sc:epoch=0", "sc:window=-1", "sc:bogus=1", "sc:epoch", "warp"}
 	for _, spec := range bad {
-		if _, err := datacache.ParseShadowPolicy(spec); err == nil {
-			t.Errorf("ParseShadowPolicy(%q) should fail", spec)
+		if _, err := datacache.WithShadowPolicies(spec); err == nil {
+			t.Errorf("WithShadowPolicies(%q) should fail", spec)
+		}
+		if _, err := datacache.WithShadowPolicies("sc", spec, "migrate"); err == nil {
+			t.Errorf("WithShadowPolicies(sc, %q, migrate) should fail", spec)
 		}
 	}
-	if _, err := datacache.WithShadowPolicies("migrate", "migrate"); err == nil {
-		// Parsing succeeds; the duplicate label is rejected at session create.
-		if _, err := datacache.NewSession(3, 1, datacache.Unit, &datacache.SessionOptions{
-			ShadowPolicies: mustShadows(t, "migrate", "migrate"),
-		}); err == nil || !strings.Contains(err.Error(), "duplicate") {
-			t.Errorf("duplicate shadow labels at create: err = %v, want duplicate-label error", err)
-		}
+	// Parsing a duplicate succeeds; the duplicate label is rejected at
+	// session create.
+	if _, err := datacache.NewSession(3, 1, datacache.Unit, &datacache.SessionOptions{
+		ShadowPolicies: mustShadows(t, "migrate", "migrate"),
+	}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("duplicate shadow labels at create: err = %v, want duplicate-label error", err)
 	}
 }
 
-func mustShadows(t *testing.T, specs ...string) []datacache.ShadowPolicy {
+func mustShadows(t *testing.T, specs ...string) []datacache.PolicySpec {
 	t.Helper()
 	sps, err := datacache.WithShadowPolicies(specs...)
 	if err != nil {
