@@ -14,8 +14,8 @@ import (
 // surface — the number the batch endpoint exists to improve. Both report
 // ns per *request* (the batch benchmark drives b.N requests in chunks),
 // so the ratio of the two is the batch speedup directly. Sessions rotate
-// every few thousand requests to keep the O(n) schedule-snapshot cost of
-// a long-lived session from dominating either side.
+// every few thousand requests to keep the growth of a long-lived
+// session's streaming DP from dominating either side.
 
 const benchRotate = 4096
 

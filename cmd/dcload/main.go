@@ -85,8 +85,8 @@ func main() {
 		batch    = flag.Int("batch", 64, "requests per batch (1 uses the single-request endpoint)")
 		wl       = flag.String("workload", "zipf", "workload: uniform|zipf|adversarial|cycle (cycle is the predictable trajectory for -policy hybrid)")
 		m        = flag.Int("m", 16, "number of servers")
-		mu       = flag.Float64("mu", 1, "transfer cost μ")
-		lambda   = flag.Float64("lambda", 2, "holding cost λ per unit time")
+		mu       = flag.Float64("mu", 1, "caching cost per unit time (μ)")
+		lambda   = flag.Float64("lambda", 2, "transfer cost (λ)")
 		policy   = flag.String("policy", "sc", "live policy spec: sc[:window=X,epoch=N] | ttl:window=X | adaptive | migrate | replicate | hybrid:horizon=K,order=k")
 		gap      = flag.Float64("gap", 1.0, "mean inter-arrival time of the generated trace")
 		seed     = flag.Int64("seed", 1, "workload seed (worker i uses seed+i)")

@@ -94,14 +94,13 @@ type Decision struct {
 // executing its actions against a copy ledger and accumulating the
 // resulting model.Schedule. It is the replay driver behind the online
 // Runner adapters and the live driver behind datacache.Session.
+// Its per-server ledger (see holding) is the stream's one cost
+// computation, read by Cost and CostBreakdown.
 type Stream struct {
 	d  Decider
 	st State
 
-	alive    []bool
-	created  []float64 // creation time of the live copy, per server
-	cacheDur []float64 // closed caching duration accumulated, per server
-	xferIn   []int     // transfers received, per server
+	srv      []holding // per server, indexed 1..M
 	nAlive   int
 	timers   timerHeap
 	sched    model.Schedule
@@ -122,15 +121,8 @@ func NewStream(d Decider, st State) (*Stream, error) {
 	if st.Origin < 1 || int(st.Origin) > st.M {
 		return nil, fmt.Errorf("engine: origin %d outside 1..%d", st.Origin, st.M)
 	}
-	s := &Stream{
-		d:        d,
-		st:       st,
-		alive:    make([]bool, st.M+1),
-		created:  make([]float64, st.M+1),
-		cacheDur: make([]float64, st.M+1),
-		xferIn:   make([]int, st.M+1),
-	}
-	s.alive[st.Origin] = true
+	s := &Stream{d: d, st: st, srv: make([]holding, st.M+1)}
+	s.srv[st.Origin] = holding{live: true, open: true}
 	s.nAlive = 1
 	if err := s.apply(d.Init(st)); err != nil {
 		return nil, err
@@ -164,7 +156,7 @@ func (s *Stream) Serve(server model.ServerID, t float64) (Decision, error) {
 	if err := s.drainTimers(t, false); err != nil {
 		return Decision{}, err
 	}
-	dec := Decision{Server: server, Time: t, Hit: s.alive[server]}
+	dec := Decision{Server: server, Time: t, Hit: s.srv[server].live}
 	if s.obs != nil {
 		s.obs.Observe(obs.Event{At: t, Kind: obs.KindRequest, Server: int(server)})
 		if dec.Hit {
@@ -183,7 +175,7 @@ func (s *Stream) Serve(server model.ServerID, t float64) (Decision, error) {
 	if err := s.apply(acts); err != nil {
 		return Decision{}, err
 	}
-	if !s.alive[server] {
+	if !s.srv[server].live {
 		return Decision{}, fmt.Errorf("engine: %s left request at (s%d, t=%v) unserved", s.d.Name(), server, t)
 	}
 	s.last = t
@@ -209,9 +201,9 @@ func (s *Stream) Finish(end float64) (*model.Schedule, error) {
 		return nil, err
 	}
 	for j := model.ServerID(1); int(j) <= s.st.M; j++ {
-		if s.alive[j] {
-			s.sched.AddCache(j, s.created[j], end)
-			s.cacheDur[j] += end - s.created[j]
+		if h := &s.srv[j]; h.live {
+			s.sched.AddCache(j, h.created, end)
+			h.close(end)
 		}
 	}
 	s.sched.Normalize()
@@ -230,8 +222,8 @@ func (s *Stream) Snapshot() *model.Schedule {
 	}
 	if !s.finished {
 		for j := model.ServerID(1); int(j) <= s.st.M; j++ {
-			if s.alive[j] {
-				snap.AddCache(j, s.created[j], s.last)
+			if h := &s.srv[j]; h.live {
+				snap.AddCache(j, h.created, s.last)
 			}
 		}
 		snap.Normalize()
@@ -239,12 +231,25 @@ func (s *Stream) Snapshot() *model.Schedule {
 	return snap
 }
 
-// Cost prices the Snapshot under cm — the online cost accrued through the
-// last served request. It matches online.Run's accounting exactly: both
-// truncate live copies at the horizon and price the normalized schedule.
+// Cost prices the stream's accumulated cost under cm: live copies are
+// truncated at the last served request while the stream is open, and
+// closed at the Finish horizon afterwards. It reads the per-server ledger
+// in O(M) and allocates nothing, yet equals Snapshot().Cost(cm) bit for
+// bit — and so matches online.Run's accounting exactly — because the
+// ledger folds held time in the order model.Schedule.Cost sums a
+// normalized schedule in.
 func (s *Stream) Cost(cm model.CostModel) float64 {
-	return s.Snapshot().Cost(cm)
+	held, xfers := 0.0, 0
+	for j := 1; j <= s.st.M; j++ {
+		held += s.heldOn(j)
+		xfers += s.srv[j].xferIn
+	}
+	return cm.Price(held, xfers)
 }
+
+// CostLive returns Cost(cm); the benchmark module's traced run calls it
+// by this name.
+func (s *Stream) CostLive(cm model.CostModel) float64 { return s.Cost(cm) }
 
 // ServerCost attributes one server's share of a stream's cost: the
 // caching cost of the copy-holding intervals on that server, and the
@@ -262,50 +267,77 @@ type ServerCost struct {
 func (c ServerCost) Cost() float64 { return c.Caching + c.Transfer }
 
 // CostBreakdown attributes the stream's accumulated cost per server under
-// cm, one entry per server 1..M. The attribution uses the same horizon as
-// Cost — live copies are truncated at the last served request while the
-// stream is open, and closed at the Finish horizon afterwards — so the
-// entries' Caching + Transfer always sum to exactly the stream's total.
-// The per-server durations and transfer counts are accumulated as actions
-// execute; a breakdown query is O(M) and never touches the schedule.
+// cm, one entry per server 1..M, read from the same ledger as Cost and at
+// the same horizon. Each entry prices its server on its own, so the
+// entries sum to Cost up to floating-point accumulation order (exactly on
+// dyadic workloads).
 func (s *Stream) CostBreakdown(cm model.CostModel) []ServerCost {
 	out := make([]ServerCost, 0, s.st.M)
-	for j := model.ServerID(1); int(j) <= s.st.M; j++ {
-		dur := s.cacheDur[j]
-		if !s.finished && s.alive[j] {
-			dur += s.last - s.created[j]
-		}
+	for j := 1; j <= s.st.M; j++ {
+		h := &s.srv[j]
 		out = append(out, ServerCost{
-			Server:    j,
-			Live:      s.alive[j],
-			Caching:   cm.Mu * dur,
-			Transfers: s.xferIn[j],
-			Transfer:  cm.Lambda * float64(s.xferIn[j]),
+			Server:    model.ServerID(j),
+			Live:      h.live,
+			Caching:   cm.Mu * s.heldOn(j),
+			Transfers: h.xferIn,
+			Transfer:  cm.Lambda * float64(h.xferIn),
 		})
 	}
 	return out
 }
 
-// CostLive prices the stream's accumulated cost in O(M) from the same
-// per-server accumulators CostBreakdown reads, without materializing a
-// schedule snapshot. It uses the same horizon as Cost (live copies
-// truncated at the last served request) but a different summation order —
-// per-server closed durations instead of the normalized schedule's merged
-// intervals — so it equals Cost only to floating-point accumulation order
-// (exactly on dyadic workloads). Cost remains the canonical pricing,
-// bit-identical to online.Run; CostLive is the per-request feed for
-// accounting that runs every serve, such as shadow-policy windows.
-func (s *Stream) CostLive(cm model.CostModel) float64 {
-	var dur float64
-	var xfers int
-	for j := model.ServerID(1); int(j) <= s.st.M; j++ {
-		dur += s.cacheDur[j]
-		if !s.finished && s.alive[j] {
-			dur += s.last - s.created[j]
+// holding is one server's entry in the stream's cost ledger. The server's
+// held time is the sum of its merged intervals — maximal stretches in
+// which Normalize would join its copies — in time order. All but the
+// latest are folded into held; the latest stays open as [from, to] (to
+// running on to the horizon while the copy is live), because a copy
+// transferred in within model.Merges of its end joins it rather than
+// starting a new interval.
+type holding struct {
+	live    bool    // holds a copy now
+	open    bool    // [from, to] is the latest merged interval, not yet folded
+	created float64 // transfer time of the live copy, for the schedule
+	from    float64 // start of the open interval
+	to      float64 // end of the open interval once closed
+	held    float64 // the earlier merged intervals' lengths, summed in order
+	xferIn  int     // transfers received
+}
+
+// arrive records a copy transferred in at t: it reopens the latest
+// interval when Normalize would merge the two, and otherwise folds that
+// interval into held and opens a new one.
+func (h *holding) arrive(t float64) {
+	if !h.open || !model.Merges(h.to, t) {
+		if h.open {
+			h.held += h.to - h.from
 		}
-		xfers += s.xferIn[j]
+		h.open, h.from, h.to = true, t, t
 	}
-	return cm.Mu*dur + cm.Lambda*float64(xfers)
+	h.live, h.created = true, t
+	h.xferIn++
+}
+
+// close ends the open interval at t, keeping the later end as Normalize
+// does when it merges.
+func (h *holding) close(t float64) {
+	if t > h.to {
+		h.to = t
+	}
+}
+
+// heldOn returns how long server j has held copies through the stream's
+// horizon: its folded intervals plus the open one, a live copy counting up
+// to the last served request while the stream is open.
+func (s *Stream) heldOn(j int) float64 {
+	h := &s.srv[j]
+	if !h.open {
+		return h.held
+	}
+	to := h.to
+	if h.live && !s.finished {
+		to = s.last
+	}
+	return h.held + (to - h.from)
 }
 
 // N returns the number of requests served.
@@ -359,30 +391,29 @@ func (s *Stream) apply(acts []Action) error {
 	for _, a := range acts {
 		switch a.Kind {
 		case ActTransfer:
-			if !s.alive[a.From] {
+			if !s.srv[a.From].live {
 				return fmt.Errorf("engine: transfer at t=%v from server %d which holds no copy", a.Time, a.From)
 			}
-			if s.alive[a.Server] {
+			if s.srv[a.Server].live {
 				return fmt.Errorf("engine: transfer at t=%v to server %d which already holds a copy", a.Time, a.Server)
 			}
 			s.sched.AddTransfer(a.From, a.Server, a.Time)
-			s.alive[a.Server] = true
-			s.created[a.Server] = a.Time
-			s.xferIn[a.Server]++
+			s.srv[a.Server].arrive(a.Time)
 			s.nAlive++
 			if s.obs != nil {
 				s.obs.Observe(obs.Event{At: a.Time, Kind: obs.KindTransfer, Server: int(a.Server), From: int(a.From)})
 			}
 		case ActDrop:
-			if !s.alive[a.Server] {
+			h := &s.srv[a.Server]
+			if !h.live {
 				return fmt.Errorf("engine: drop at t=%v on server %d which holds no copy", a.Time, a.Server)
 			}
 			if s.nAlive == 1 {
 				return fmt.Errorf("engine: drop at t=%v would delete the last copy (server %d)", a.Time, a.Server)
 			}
-			s.sched.AddCache(a.Server, s.created[a.Server], a.Time)
-			s.cacheDur[a.Server] += a.Time - s.created[a.Server]
-			s.alive[a.Server] = false
+			s.sched.AddCache(a.Server, h.created, a.Time)
+			h.close(a.Time)
+			h.live = false
 			s.nAlive--
 			s.drops++
 			if s.obs != nil {

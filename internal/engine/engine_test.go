@@ -159,6 +159,28 @@ func TestStreamSnapshotNonDestructive(t *testing.T) {
 	}
 }
 
+// TestStreamAllocations pins the ledger's footprint: Cost reads it
+// without allocating, however many requests the stream has served, and
+// NewStream allocates only the Stream and its one per-server ledger slice
+// beside what the decider's Init allocates (one slice for Replicate).
+func TestStreamAllocations(t *testing.T) {
+	cm := model.CostModel{Mu: 1, Lambda: 2}
+	st := mustStream(t, &engine.SC{}, 8, 1, cm)
+	for i := 1; i <= 500; i++ {
+		if _, err := st.Serve(model.ServerID(1+i%8), float64(i)*0.3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = st.Cost(cm) }); n != 0 {
+		t.Errorf("Stream.Cost allocates %v objects per call, want 0", n)
+	}
+	state := engine.State{M: 16, Origin: 1, Model: cm}
+	d := &engine.Replicate{}
+	if n := testing.AllocsPerRun(100, func() { _, _ = engine.NewStream(d, state) }); n > 3 {
+		t.Errorf("NewStream allocates %v objects, want at most 3", n)
+	}
+}
+
 // TestMigrateDecider checks the single-nomadic-copy baseline at the decider
 // level.
 func TestMigrateDecider(t *testing.T) {

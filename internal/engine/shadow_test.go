@@ -88,19 +88,16 @@ func TestShadowSetLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mask := ss.Serve(srv, tt, d, live.CostLive(cm))
+		mask := ss.Serve(srv, tt, d, live.Cost(cm))
 		if mask&1 != 0 {
 			t.Fatalf("request %d: twin shadow diverged from its own decider", i)
 		}
 		if mask&2 != 0 {
 			diverged++
 		}
-		if got, want := ss.CostLive(0), live.CostLive(cm); got != want {
-			t.Fatalf("request %d: twin CostLive %v != live %v", i, got, want)
+		if got, want := ss.Cost(0), live.Cost(cm); got != want {
+			t.Fatalf("request %d: twin cost %v != live %v", i, got, want)
 		}
-	}
-	if got, want := ss.Cost(0), live.Cost(cm); got != want {
-		t.Errorf("twin exact cost %v != live %v", got, want)
 	}
 	if got := ss.Divergence(0); got != 0 {
 		t.Errorf("twin divergence = %d, want 0", got)
@@ -119,7 +116,7 @@ func TestShadowSetLockstep(t *testing.T) {
 		t.Errorf("twin windowed cost %v != live windowed %v", got, want)
 	}
 	tot := ss.Totals(1)
-	if tot.Cost != ss.CostLive(1) || tot.Divergence != ss.Divergence(1) {
+	if tot.Cost != ss.Cost(1) || tot.Divergence != ss.Divergence(1) {
 		t.Errorf("totals %+v inconsistent with accessors", tot)
 	}
 }
@@ -158,7 +155,7 @@ func TestShadowSetErrorIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss.Serve(2, float64(i), d, live.CostLive(cm))
+		ss.Serve(2, float64(i), d, live.Cost(cm))
 	}
 	if ss.Err(0) == nil {
 		t.Fatal("dead shadow should carry its terminal error")
@@ -203,7 +200,7 @@ func BenchmarkShadowSetServe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ss.Serve(srv, tt, d, live.CostLive(cm))
+		ss.Serve(srv, tt, d, live.Cost(cm))
 	}
 }
 
@@ -223,7 +220,7 @@ func BenchmarkStreamServe(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	_ = live.CostLive(cm)
+	_ = live.Cost(cm)
 }
 
 // TestShadowSetServeAllocationBound pins the serve-path overhead: the
@@ -256,7 +253,7 @@ func TestShadowSetServeAllocationBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss.Serve(srv, tt, d, live.CostLive(cm))
+		ss.Serve(srv, tt, d, live.Cost(cm))
 	})
 	if avg > 16 {
 		t.Errorf("live+4-shadow serve averages %.1f allocs/request, want <= 16", avg)

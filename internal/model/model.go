@@ -177,6 +177,14 @@ func (c CostModel) Validate() error {
 // time for which keeping a copy alive is no more expensive than one transfer.
 func (c CostModel) Delta() float64 { return c.Lambda / c.Mu }
 
+// Price is the cost of holding copies for held time in total and making
+// transfers transfers: Mu*held + Lambda*transfers. Schedule.Cost and
+// engine.Stream.Cost both price through it, so they agree bit for bit
+// whenever they sum the same held time.
+func (c CostModel) Price(held float64, transfers int) float64 {
+	return c.Mu*held + c.Lambda*float64(transfers)
+}
+
 // Unit is the cost model with Mu = Lambda = 1 used throughout the paper's
 // worked examples (Fig. 2 and Fig. 6).
 var Unit = CostModel{Mu: 1, Lambda: 1}

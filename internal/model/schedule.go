@@ -54,22 +54,34 @@ func (s *Schedule) AddTransfer(from, to ServerID, at float64) {
 // Cost prices the schedule under cm: Mu times the total cached time plus
 // Lambda per transfer. Call Normalize first if intervals may overlap on a
 // server, otherwise overlapping stretches are charged more than once.
+//
+// The cached time is summed in the one order every cost in the
+// repository is priced in: interval lengths within each run of
+// consecutive intervals on one server first, then those per-run sums in
+// slice order. On a normalized schedule the runs are the servers in
+// ascending order — the order engine.Stream's per-server ledger keeps in
+// O(M), so a stream's Cost equals the Cost of its normalized schedule bit
+// for bit.
 func (s *Schedule) Cost(cm CostModel) float64 {
-	total := 0.0
-	for _, h := range s.Caches {
-		total += cm.Mu * h.Length()
-	}
-	total += cm.Lambda * float64(len(s.Transfers))
-	return total
+	return cm.Price(s.heldTime(), len(s.Transfers))
 }
 
 // CachingCost returns only the Mu * time part of the cost.
 func (s *Schedule) CachingCost(cm CostModel) float64 {
-	total := 0.0
-	for _, h := range s.Caches {
-		total += cm.Mu * h.Length()
+	return cm.Mu * s.heldTime()
+}
+
+// heldTime sums the cached time in the order Cost documents.
+func (s *Schedule) heldTime() float64 {
+	total, run := 0.0, 0.0
+	for i, h := range s.Caches {
+		if i > 0 && h.Server != s.Caches[i-1].Server {
+			total += run
+			run = 0
+		}
+		run += h.Length()
 	}
-	return total
+	return total + run
 }
 
 // TransferCost returns only the Lambda * count part of the cost.
@@ -94,7 +106,7 @@ func (s *Schedule) Normalize() {
 		}
 		if len(merged) > 0 {
 			last := &merged[len(merged)-1]
-			if last.Server == h.Server && h.From <= last.To+timeEps {
+			if last.Server == h.Server && Merges(last.To, h.From) {
 				if h.To > last.To {
 					last.To = h.To
 				}
@@ -115,6 +127,13 @@ func (s *Schedule) Normalize() {
 
 // timeEps absorbs floating-point jitter when comparing schedule times.
 const timeEps = 1e-9
+
+// Merges reports whether a cache interval starting at from continues an
+// earlier interval on the same server that ends at to: Normalize merges
+// the two into one, pricing the jitter-sized gap between them as held
+// time. It is the one definition of which intervals merge; engine.Stream's
+// ledger applies it as copies are transferred in.
+func Merges(to, from float64) bool { return from <= to+timeEps }
 
 // HeldAt reports whether some cache interval on server holds the item at
 // time t.

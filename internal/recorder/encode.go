@@ -23,14 +23,17 @@ import (
 //                f64 optimal | u8 traceLen | trace bytes
 //
 // NDJSON mode is the same stream as text: a header line
-// {"format":"dcrec","version":1,...} followed by one Record per line.
+// {"format":"dcrec","version":2,...} followed by one Record per line.
 // The full specification, including compatibility rules, is DESIGN.md §12.
 
 // Format constants.
 const (
-	// FormatVersion is the wire version this build writes. Readers accept
-	// any file whose major version matches (see DESIGN.md §12).
-	FormatVersion uint16 = 1
+	// FormatVersion is the wire version this build writes, and the only
+	// one it reads: a file of any other version is refused with an
+	// "unsupported format version" error. Version 2 changed no byte of the
+	// layout; it marks the cost summation order the recorded cumulative
+	// costs were computed in (see DESIGN.md §12.1).
+	FormatVersion uint16 = 2
 
 	// ModeBinary and ModeNDJSON name the two encodings.
 	ModeBinary = "binary"

@@ -12,7 +12,7 @@
 //   - open: declares a stream — one engine incarnation, identified by a
 //     writer-scoped uint32 id — carrying everything replay needs to
 //     reconstruct it (session id, tenant/item key, m, origin, cost
-//     model, policy and its knobs). Pool evictions that later revive an
+//     model, policy spec). Pool evictions that later revive an
 //     item open a fresh stream, so incarnation boundaries are explicit.
 //   - serve: one served request on a stream — time, server, hit/miss,
 //     transfer source, drops, and the engine's cumulative cost and
@@ -65,11 +65,7 @@ type StreamInfo struct {
 	Mu     float64 `json:"mu"`
 	Lambda float64 `json:"lambda"`
 	// Policy is the live policy's canonical spec, parameters included.
-	// Older recorders wrote window and epoch beside a bare policy name;
-	// replay folds them into the spec for kinds that take the key.
-	Policy string  `json:"policy,omitempty"`
-	Window float64 `json:"window,omitempty"`
-	Epoch  int     `json:"epoch,omitempty"`
+	Policy string `json:"policy,omitempty"`
 	// Resumed marks an open re-emitted after rotation (the stream's
 	// earlier serves live in a previous file). A reader holding the
 	// stream's state treats it as a continuation; a reader that has

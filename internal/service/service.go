@@ -59,7 +59,7 @@ import (
 )
 
 // Version identifies the service build in /healthz and /v1/spec.
-const Version = "1.10.0"
+const Version = "1.11.0"
 
 // DefaultTraceCap bounds each session's decision-event ring unless
 // WithTraceCap overrides it.

@@ -257,12 +257,14 @@ func annotateServeSpan(sp *obs.Span, id string, d datacache.Decision, events, sh
 }
 
 // publishSessionGauges refreshes the per-session metric series after a
-// state change. Callers hold the session entry lock.
+// state change. Every cost it reads — live, per server and per shadow —
+// is an O(M) ledger read. Callers hold the session entry lock.
 func (s *Server) publishSessionGauges(id string, e *sessionEntry) {
 	sess := e.sess
-	s.sessionCost.With(id).Set(sess.Cost())
-	s.sessionOpt.With(id).Set(sess.OptimalCost())
-	s.sessionRatio.With(id).Set(sess.Ratio())
+	cost, opt := sess.Cost(), sess.OptimalCost()
+	s.sessionCost.With(id).Set(cost)
+	s.sessionOpt.With(id).Set(opt)
+	s.sessionRatio.With(id).Set(costOverOpt(cost, opt))
 	s.sessionLive.With(id).Set(float64(sess.LiveCopies()))
 
 	// Per-server attribution: only servers that have accrued cost or hold
@@ -296,12 +298,10 @@ func (s *Server) publishSessionGauges(id string, e *sessionEntry) {
 		}
 	}
 
-	// Shadow standings: the cheap O(M)-per-policy CostLive feed, never the
-	// exact schedule-priced query (that one is O(n) and route-only).
+	// Shadow standings, priced exactly as the live cost above.
 	if names := sess.ShadowNames(); len(names) > 0 {
-		opt := sess.OptimalCost()
 		bestIdx := -1 // -1: the live policy is winning
-		bestCost := sess.CostLive()
+		bestCost := cost
 		for i, name := range names {
 			c := sess.ShadowCostLive(i)
 			s.shadowCost.With(id, name).Set(c)

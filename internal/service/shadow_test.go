@@ -72,9 +72,10 @@ func TestSessionShadowAcceptance(t *testing.T) {
 			twin = row
 		}
 	}
-	// The route prices the exact schedule, so the twin is bitwise equal.
+	// Every standing is priced as the session cost is, so the twin is
+	// bitwise equal.
 	if twin.Cost != rep.Cost {
-		t.Errorf("twin standing cost %v != session cost %v (route is exact)", twin.Cost, rep.Cost)
+		t.Errorf("twin standing cost %v != session cost %v (must be bitwise equal)", twin.Cost, rep.Cost)
 	}
 	if twin.Divergence != 0 {
 		t.Errorf("twin divergence = %d, want 0", twin.Divergence)

@@ -139,7 +139,7 @@ type poolItem struct {
 	elem *list.Element // LRU position while live, nil otherwise
 
 	prevCost, prevOpt float64   // live session totals at the last serve
-	prevShadow        []float64 // live session per-shadow CostLive at the last serve
+	prevShadow        []float64 // live session per-shadow cost at the last serve
 	lastServed        float64
 	revivals          int
 
@@ -201,7 +201,7 @@ type Pool struct {
 	closed    bool
 
 	// Pool-wide shadow accounting, maintained incrementally per serve
-	// from each item session's cheap per-shadow CostLive deltas. Empty
+	// from each item session's per-shadow cost deltas. Empty
 	// unless the session template configures ShadowPolicies.
 	livePolicy   string
 	shadowNames  []string
@@ -695,13 +695,13 @@ func (p *Pool) ShadowNames() []string { return p.shadowNames }
 func (p *Pool) Policy() string { return p.livePolicy }
 
 // ShadowCosts returns the pool-wide per-shadow cost accumulators
-// (indexed like ShadowNames) — the cheap per-serve gauge feed. The
-// slice is shared; treat it as read-only.
+// (indexed like ShadowNames) — the per-serve gauge feed. The slice is
+// shared; treat it as read-only.
 func (p *Pool) ShadowCosts() []float64 { return p.shadowCost }
 
 // ShadowReport builds the pool-wide counterfactual readout, or nil when
 // the session template runs no shadows. Per-policy costs accumulate
-// each item session's CostLive deltas across incarnations (eviction
+// each item session's shadow cost deltas across incarnations (eviction
 // retains them, like the pool's own cost); hit/transfer/drop/divergence
 // counters aggregate over every item, so the query is O(items).
 func (p *Pool) ShadowReport() *ShadowReport {

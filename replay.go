@@ -3,7 +3,6 @@ package datacache
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"datacache/internal/engine"
@@ -199,7 +198,7 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 					continue
 				}
 				// Fresh incarnation: fresh session from the recorded config.
-				sopts := &SessionOptions{Policy: recordedSpec(r.Info), ShadowPolicies: shadows}
+				sopts := &SessionOptions{Policy: r.Info.Policy, ShadowPolicies: shadows}
 				cm := CostModel{Mu: r.Info.Mu, Lambda: r.Info.Lambda}
 				sess, err := NewSession(r.Info.M, ServerID(r.Info.Origin), cm, sopts)
 				if err != nil {
@@ -342,31 +341,6 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 		rep.ShadowPanel = replayShadowPanel(streams, order, window, rep.LiveCost, rep.HindsightOpt)
 	}
 	return rep, nil
-}
-
-// recordedSpec rebuilds a stream's live policy spec from its recorded
-// declaration. Older recordings carry window and epoch in fields of
-// their own next to a bare or empty policy; those fold into the spec
-// only for kinds that take the key, as the session that recorded them
-// ignored them otherwise. An unknown policy renders as is, for
-// NewSession to reject.
-func recordedSpec(info *recorder.StreamInfo) string {
-	var sp PolicySpec
-	if info.Policy != "" {
-		var err error
-		if sp, err = parsePolicySpec(info.Policy); err != nil {
-			return info.Policy
-		}
-	}
-	if k := kindOf(sp.Policy); k != nil {
-		if sp.Window == 0 && slices.Contains(k.keys, "window") {
-			sp.Window = info.Window
-		}
-		if sp.EpochTransfers == 0 && slices.Contains(k.keys, "epoch") {
-			sp.EpochTransfers = info.Epoch
-		}
-	}
-	return sp.Spec()
 }
 
 // replayShadowPanel aggregates the counterfactual standings across every

@@ -154,6 +154,9 @@ type Decision struct {
 // comes back with an exact competitive-ratio readout for the traffic seen so
 // far. After n Serve calls the accumulated cost equals exactly what
 // Serve(SpeculativeCaching{...}, seq, cm) reports for the same n requests.
+// The cost is read from the stream's per-server ledger in O(M), however
+// long the session has run; only Schedule and Close sort and merge the
+// schedule.
 //
 // A Session is not safe for concurrent use; callers (such as the /v1/session
 // HTTP endpoint) must serialize access.
@@ -450,7 +453,8 @@ func (s *Session) Transfers() int { return s.stream.Transfers() }
 // expiries and policy drops alike).
 func (s *Session) Drops() int { return s.stream.Drops() }
 
-// Cost returns the policy cost accumulated through the last request.
+// Cost returns the policy cost accumulated through the last request, in
+// O(M): bit for bit the Cost of Schedule().
 func (s *Session) Cost() float64 { return s.stream.Cost(s.cm) }
 
 // OptimalCost returns the exact off-line optimum of the requests served so
@@ -463,7 +467,8 @@ func (s *Session) Ratio() float64 { return ratioOf(s.Cost(), s.OptimalCost()) }
 
 // CostBreakdown attributes the accumulated cost per server: caching cost
 // for the time each server held a copy, transfer cost for the copies it
-// received. The entries' Caching + Transfer sum to exactly Cost().
+// received. The entries' Caching + Transfer sum to Cost() up to
+// floating-point accumulation order.
 func (s *Session) CostBreakdown() []ServerCost { return s.stream.CostBreakdown(s.cm) }
 
 // SLO returns the rolling-window ratio tracker, or nil when the session

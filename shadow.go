@@ -26,8 +26,8 @@ const ShadowAlertRuleName = "shadow_beats_live"
 // live policy pay more than the pure online fallback would have.
 const PlannerAlertRuleName = "planner_worse_than_sc"
 
-// ShadowTotals is the cheap accumulator readout of one shadow policy;
-// see Session.ShadowTotals.
+// ShadowTotals is the accumulator readout of one shadow policy; see
+// Session.ShadowTotals.
 type ShadowTotals = engine.ShadowTotals
 
 // ShadowStanding is one policy's line in the counterfactual comparison a
@@ -164,19 +164,14 @@ func (s *Session) ShadowNames() []string {
 	return s.shadows.Names()
 }
 
-// ShadowCostLive returns shadow i's running cost priced by the O(M)
-// accumulator path — the cheap per-serve feed gauge publishers and pool
-// aggregation use. See Stream.CostLive for how it relates to the exact
-// schedule-priced cost.
-func (s *Session) ShadowCostLive(i int) float64 { return s.shadows.CostLive(i) }
+// ShadowCostLive returns shadow i's running cost, priced exactly as Cost
+// prices the live policy: in O(M), and bit for bit the live cost when the
+// shadow runs the live policy's own decider.
+func (s *Session) ShadowCostLive(i int) float64 { return s.shadows.Cost(i) }
 
-// CostLive returns the live policy's cost priced by the same O(M)
-// accumulator path as ShadowCostLive, for like-for-like comparisons on
-// the serve path. Cost remains the canonical (schedule-priced) total.
-func (s *Session) CostLive() float64 { return s.stream.CostLive(s.cm) }
-
-// ShadowTotals returns shadow i's cheap accumulator readout (CostLive
-// pricing) — what Pool eviction folds into its retained accounting.
+// ShadowTotals returns shadow i's accumulator readout, its cost as
+// ShadowCostLive reports it — what Pool eviction folds into its retained
+// accounting.
 func (s *Session) ShadowTotals(i int) ShadowTotals { return s.shadows.Totals(i) }
 
 // ShadowWindowedCosts reports the rolling windowed cost of the live
@@ -249,10 +244,9 @@ func (s *Session) Alerts() []Alert {
 }
 
 // ShadowReport builds the full counterfactual readout, or nil when the
-// session runs no shadows. Costs are exact (schedule-priced, the same
-// computation as Cost), so a shadow running the live policy's own
-// decider reports the live cost bit for bit; the query is O(n) per
-// policy and meant for reports and routes, not the serve path.
+// session runs no shadows. Every cost is priced as Cost prices the live
+// policy, so a shadow running the live policy's own decider reports the
+// live cost bit for bit.
 func (s *Session) ShadowReport() *ShadowReport {
 	if s.shadows == nil {
 		return nil
