@@ -12,13 +12,20 @@
 // E7  BenchmarkPolicies         all online policies on one workload
 // E8  BenchmarkPredictPlan      train, predict, plan, execute
 // E9  BenchmarkHeteroOptimal    the subset DP under heterogeneous costs
+//
+// BenchmarkPoolChurn prices Pool.ServeBatch on the pool-churn traffic
+// shape (LRU eviction and revival on every batch).
 package datacache_test
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
+	"datacache"
 	"datacache/internal/cloudsim"
 	"datacache/internal/engine"
 	"datacache/internal/hetero"
@@ -27,6 +34,7 @@ import (
 	"datacache/internal/offline"
 	"datacache/internal/online"
 	"datacache/internal/paging"
+	"datacache/internal/service"
 	"datacache/internal/trajectory"
 	"datacache/internal/workload"
 )
@@ -579,4 +587,95 @@ func BenchmarkFaultedRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The pool-churn shape: 64-request batches on 16 servers whose keys are
+// uniform over 1024 (tenant, item) keys, four times the pool's MaxItems,
+// so nearly every batch evicts and revives items. The global mean gap is
+// Δt over the keyspace, which makes each key's mean gap Δt.
+const (
+	churnServers  = 16
+	churnKeys     = 1024
+	churnMaxItems = 256
+	churnBatch    = 64
+)
+
+// poolChurnRequests draws one pass of the pool-churn shape: batches
+// 64-request batches.
+func poolChurnRequests(seed int64, batches int) []datacache.PoolRequest {
+	rng := rand.New(rand.NewSource(seed))
+	meanGap := benchModel.Delta() / churnKeys
+	reqs := make([]datacache.PoolRequest, 0, batches*churnBatch)
+	t := 0.0
+	for i := 0; i < batches*churnBatch; i++ {
+		t += math.Max(1e-6, rng.ExpFloat64()*meanGap)
+		k := rng.Intn(churnKeys)
+		reqs = append(reqs, datacache.PoolRequest{
+			Tenant: "t" + strconv.Itoa(k%4),
+			Item:   "i" + strconv.Itoa(k/4),
+			Server: datacache.ServerID(1 + rng.Intn(churnServers)),
+			Time:   t,
+		})
+	}
+	return reqs
+}
+
+// poolChurnPass opens a pool with the options the HTTP service gives
+// its pools' items, serves reqs through it in 64-request batches and
+// closes it.
+func poolChurnPass(reqs []datacache.PoolRequest) error {
+	pool, err := datacache.NewPool(churnServers, 1, benchModel, &datacache.PoolOptions{
+		Session: datacache.SessionOptions{
+			Policy:        "sc",
+			Observer:      obs.ObserverFunc(func(obs.Event) {}),
+			ShadowMargin:  -1,
+			RecordSession: "pl-1",
+		},
+		MaxItems:        churnMaxItems,
+		TenantSLOWindow: service.DefaultSLOWindow,
+	})
+	if err != nil {
+		return err
+	}
+	for i := 0; i < len(reqs); i += churnBatch {
+		res, err := pool.ServeBatch(context.Background(), reqs[i:min(i+churnBatch, len(reqs))])
+		if err != nil {
+			return err
+		}
+		if res.FirstRejected >= 0 {
+			return fmt.Errorf("batch at %d: %s", i, res.RejectReason)
+		}
+	}
+	return pool.Close()
+}
+
+// BenchmarkPoolChurn serves one pass of the pool-churn shape per op; the
+// ns/req and allocs/req metrics divide by its 8192 requests.
+func BenchmarkPoolChurn(b *testing.B) {
+	reqs := poolChurnRequests(1, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := poolChurnPass(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
+}
+
+// TestPoolChurnAllocations pins what a pool-churn pass allocates per
+// request: an evicted item's session is reset for the key being
+// admitted, so revivals allocate nothing and a pass stays within a few
+// allocations per request.
+func TestPoolChurnAllocations(t *testing.T) {
+	reqs := poolChurnRequests(1, 128)
+	var err error
+	perReq := testing.AllocsPerRun(2, func() { err = poolChurnPass(reqs) }) / float64(len(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perReq > 3 {
+		t.Errorf("a pool-churn pass allocates %.2f objects per request, want at most 3", perReq)
+	}
+	t.Logf("%.2f allocations per request", perReq)
 }

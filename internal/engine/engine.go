@@ -23,7 +23,6 @@
 package engine
 
 import (
-	"container/heap"
 	"fmt"
 
 	"datacache/internal/model"
@@ -69,7 +68,9 @@ type Decider interface {
 	// Name identifies the decider in logs and reports.
 	Name() string
 	// Init resets the decider for a fresh run and returns its opening
-	// actions (typically arming the origin copy's first timer).
+	// actions (typically arming the origin copy's first timer). It must
+	// reset every piece of run state, because Stream.Reset re-runs a used
+	// decider through Init and relies on it deciding exactly as a new one.
 	Init(st State) []Action
 	// OnRequest reacts to a request at server: the returned actions must
 	// leave a live copy there. Requests arrive in strictly increasing time
@@ -128,6 +129,24 @@ func NewStream(d Decider, st State) (*Stream, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// Reset returns the stream to the state NewStream leaves it in: the
+// origin copy only, zero counters, the timer heap and the schedule
+// emptied, and the decider re-Inited with its opening actions applied.
+// It keeps the storage the stream has grown and the attached observer.
+// A schedule returned earlier by Finish shares that storage and is no
+// longer valid.
+func (s *Stream) Reset() error {
+	clear(s.srv)
+	s.srv[s.st.Origin] = holding{live: true, open: true}
+	s.nAlive = 1
+	s.timers = s.timers[:0]
+	s.sched.Caches = s.sched.Caches[:0]
+	s.sched.Transfers = s.sched.Transfers[:0]
+	s.last, s.served, s.hits, s.drops = 0, 0, 0, 0
+	s.finished = false
+	return s.apply(s.d.Init(s.st))
 }
 
 // SetObserver attaches (or, with nil, detaches) a decision-event observer.
@@ -369,7 +388,7 @@ func (s *Stream) drainTimers(limit float64, inclusive bool) error {
 		if at > limit || (!inclusive && at == limit) {
 			return nil
 		}
-		ev := heap.Pop(&s.timers).(timerEvent)
+		ev := s.timers.pop()
 		acts := s.d.OnTimer(at)
 		// Deciders return nil — not an empty slice — for stale timers
 		// superseded by a refresh, so acts != nil means the deadline was
@@ -420,7 +439,7 @@ func (s *Stream) apply(acts []Action) error {
 				s.obs.Observe(obs.Event{At: a.Time, Kind: obs.KindDrop, Server: int(a.Server)})
 			}
 		case ActArmTimer:
-			heap.Push(&s.timers, timerEvent{at: a.Time, server: a.Server})
+			s.timers.push(timerEvent{at: a.Time, server: a.Server})
 		default:
 			return fmt.Errorf("engine: unknown action kind %d", a.Kind)
 		}
@@ -452,16 +471,43 @@ type timerEvent struct {
 	server model.ServerID
 }
 
+// timerHeap is a binary min-heap on deadlines. push and pop mirror
+// container/heap's Push and Pop step for step, so equal deadlines pop in
+// the order they always have, without boxing each entry in an interface.
 type timerHeap []timerEvent
 
-func (h timerHeap) Len() int            { return len(h) }
-func (h timerHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(timerEvent)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *timerHeap) push(ev timerEvent) {
+	*h = append(*h, ev)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].at < q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *timerHeap) pop() timerEvent {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].at < q[j1].at {
+			j = j2 // right child
+		}
+		if !(q[j].at < q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }

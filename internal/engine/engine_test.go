@@ -6,6 +6,7 @@ import (
 
 	"datacache/internal/engine"
 	"datacache/internal/model"
+	"datacache/internal/offline"
 )
 
 func mustStream(t *testing.T, d engine.Decider, m int, origin model.ServerID, cm model.CostModel) *engine.Stream {
@@ -173,6 +174,58 @@ func TestStreamAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = st.Cost(cm) }); n != 0 {
 		t.Errorf("Stream.Cost allocates %v objects per call, want 0", n)
+	}
+	// A warm stream serves without allocating: timers go on a typed heap.
+	at := 500 * 0.3
+	if n := testing.AllocsPerRun(100, func() {
+		at += 0.3
+		_, _ = st.Serve(model.ServerID(1+int(at)%8), at)
+	}); n != 0 {
+		t.Errorf("a warm SC stream's Serve allocates %v objects per call, want 0", n)
+	}
+	// Reset keeps the storage, so replaying a run of the same length
+	// allocates nothing, and neither does the streaming DP after its
+	// Reset.
+	run := make([]model.Request, 0, 600)
+	for i := 1; i <= 600; i++ {
+		run = append(run, model.Request{Server: model.ServerID(1 + (i*i)%8), Time: float64(i) * 0.3})
+	}
+	replay := func() {
+		if err := st.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range run {
+			if _, err := st.Serve(r.Server, r.Time); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replay()
+	if n := testing.AllocsPerRun(10, replay); n != 0 {
+		t.Errorf("Reset and a %d-request replay allocate %v objects, want 0", len(run), n)
+	}
+	inc, err := offline.NewIncremental(8, 1, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRun := func() {
+		inc.Reset()
+		for _, r := range run {
+			if err := inc.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendRun()
+	if n := testing.AllocsPerRun(10, appendRun); n != 0 {
+		t.Errorf("Incremental.Reset and %d appends allocate %v objects, want 0", len(run), n)
+	}
+	sched, err := st.Finish(st.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, sched.Normalize); n != 0 {
+		t.Errorf("Normalize allocates %v objects per call, want 0", n)
 	}
 	state := engine.State{M: 16, Origin: 1, Model: cm}
 	d := &engine.Replicate{}

@@ -86,15 +86,27 @@ func (s *SC) Init(st State) []Action {
 	if s.window <= 0 {
 		s.window = st.Model.Delta()
 	}
-	s.alive = make([]bool, st.M+1)
-	s.created = make([]float64, st.M+1)
-	s.expiry = make([]float64, st.M+1)
+	s.alive = cleared(s.alive, st.M+1)
+	s.created = cleared(s.created, st.M+1)
+	s.expiry = cleared(s.expiry, st.M+1)
 	s.alive[st.Origin] = true
 	s.nAlive = 1
 	s.xfers = 0
 	s.acts = s.acts[:0]
+	s.group = s.group[:0]
 	s.refresh(st.Origin, 0)
 	return s.acts
+}
+
+// cleared returns a zeroed slice of length n, reusing buf's storage when
+// it is large enough, so re-Initing a decider allocates nothing.
+func cleared[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // OnRequest implements Decider: hit-refresh or transfer-from-source, then

@@ -37,6 +37,13 @@ func (w *CostWindow) Add(v float64) {
 	w.sum += v
 }
 
+// Reset empties the window, keeping its length.
+func (w *CostWindow) Reset() {
+	w.buf = w.buf[:0]
+	w.head = 0
+	w.sum = 0
+}
+
 // Sum returns the rolling sum over the current window.
 func (w *CostWindow) Sum() float64 { return w.sum }
 
@@ -124,6 +131,26 @@ func NewShadowSet(st State, window int, ds []ShadowDecider) (*ShadowSet, error) 
 		ss.names = append(ss.names, sd.Name)
 	}
 	return ss, nil
+}
+
+// Reset returns the set to the state NewShadowSet leaves it in: every
+// shadow's stream is Reset, and its cost window, previous cost,
+// divergence count and error are cleared, as is the live cost window.
+// The storage is kept.
+func (ss *ShadowSet) Reset() error {
+	ss.liveWin.Reset()
+	ss.livePrev = 0
+	for i := range ss.shadows {
+		sh := &ss.shadows[i]
+		if err := sh.stream.Reset(); err != nil {
+			return fmt.Errorf("engine: shadow %q: %w", sh.name, err)
+		}
+		sh.win.Reset()
+		sh.prevCost = 0
+		sh.divergence = 0
+		sh.err = nil
+	}
+	return nil
 }
 
 // Serve feeds one live request to every shadow in lockstep and returns a

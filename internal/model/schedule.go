@@ -1,8 +1,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -92,12 +94,13 @@ func (s *Schedule) TransferCost(cm CostModel) float64 {
 // Normalize sorts intervals and transfers by time and merges overlapping or
 // touching cache intervals on the same server, so that the schedule prices
 // each cached second exactly once. Zero-length intervals are dropped.
+// It allocates nothing.
 func (s *Schedule) Normalize() {
-	sort.Slice(s.Caches, func(a, b int) bool {
-		if s.Caches[a].Server != s.Caches[b].Server {
-			return s.Caches[a].Server < s.Caches[b].Server
+	slices.SortFunc(s.Caches, func(a, b CacheInterval) int {
+		if a.Server != b.Server {
+			return cmp.Compare(a.Server, b.Server)
 		}
-		return s.Caches[a].From < s.Caches[b].From
+		return cmp.Compare(a.From, b.From)
 	})
 	merged := s.Caches[:0]
 	for _, h := range s.Caches {
@@ -122,7 +125,7 @@ func (s *Schedule) Normalize() {
 		}
 	}
 	s.Caches = keep
-	sort.Slice(s.Transfers, func(a, b int) bool { return s.Transfers[a].Time < s.Transfers[b].Time })
+	slices.SortFunc(s.Transfers, func(a, b Transfer) int { return cmp.Compare(a.Time, b.Time) })
 }
 
 // timeEps absorbs floating-point jitter when comparing schedule times.

@@ -29,11 +29,11 @@ type Incremental struct {
 
 	lastOn []int // per server: index of the most recent request (0/NoPrev boundary)
 	next   []int // successor on the same server, -1 while none
-	// a is the rolling last row of Theorem 2's A matrix for the *current*
-	// end of stream; per-request history is kept in rowsAt so that row
-	// A[p(i)] remains addressable: rowsAt[i][j] = last request on server j
-	// at or before i. Stored as int32 to match the batch solver's footprint.
-	rowsAt [][]int32
+	// a holds Theorem 2's A matrix row by row, as FastDP does: row i
+	// (a[i*(m+1) : (i+1)*(m+1)]) is the last request on each server at or
+	// before request i, so row A[p(i)] stays addressable. One flat int32
+	// slice, so an append grows it instead of allocating a row.
+	a []int32
 }
 
 // NewIncremental starts a stream over m servers with the initial copy at
@@ -46,29 +46,32 @@ func NewIncremental(m int, origin model.ServerID, cm model.CostModel) (*Incremen
 	if err := cm.Validate(); err != nil {
 		return nil, err
 	}
-	inc := &Incremental{
-		seq:    seq,
-		cm:     cm,
-		c:      []float64{0},
-		d:      []float64{0}, // boundary entry, matching newResult's D[0]
-		b:      []float64{0},
-		cBr:    []branch{branchNone},
-		dBr:    []branch{branchNone},
-		dPv:    []int{0},
-		prev:   []int{0},
-		lastOn: make([]int, m+1),
-		next:   []int{-1},
-	}
-	for j := 1; j <= m; j++ {
+	inc := &Incremental{seq: seq, cm: cm, lastOn: make([]int, m+1), a: make([]int32, m+1)}
+	inc.Reset()
+	return inc, nil
+}
+
+// Reset empties the stream back to the state NewIncremental leaves it
+// in — the boundary entry only, the initial copy at the origin — keeping
+// the storage the vectors have grown.
+func (inc *Incremental) Reset() {
+	inc.seq.Requests = inc.seq.Requests[:0]
+	inc.c = append(inc.c[:0], 0)
+	inc.d = append(inc.d[:0], 0) // boundary entry, matching newResult's D[0]
+	inc.b = append(inc.b[:0], 0)
+	inc.cBr = append(inc.cBr[:0], branchNone)
+	inc.dBr = append(inc.dBr[:0], branchNone)
+	inc.dPv = append(inc.dPv[:0], 0)
+	inc.prev = append(inc.prev[:0], 0)
+	inc.next = append(inc.next[:0], -1)
+	for j := 1; j < len(inc.lastOn); j++ {
 		inc.lastOn[j] = model.NoPrev
 	}
-	inc.lastOn[origin] = 0
-	row0 := make([]int32, m+1)
-	for j := 1; j <= m; j++ {
-		row0[j] = int32(inc.lastOn[j])
+	inc.lastOn[inc.seq.Origin] = 0
+	inc.a = inc.a[:len(inc.lastOn)]
+	for j, q := range inc.lastOn {
+		inc.a[j] = int32(q)
 	}
-	inc.rowsAt = [][]int32{row0}
-	return inc, nil
 }
 
 // N returns the number of appended requests.
@@ -101,10 +104,9 @@ func (inc *Incremental) Append(r model.Request) error {
 		inc.next[p] = i
 	}
 	inc.lastOn[r.Server] = i
-	row := make([]int32, inc.seq.M+1)
-	copy(row, inc.rowsAt[i-1])
-	row[r.Server] = int32(i)
-	inc.rowsAt = append(inc.rowsAt, row)
+	w := inc.seq.M + 1
+	inc.a = append(inc.a, inc.a[(i-1)*w:i*w]...)
+	inc.a[i*w+int(r.Server)] = int32(i)
 
 	// Bounds.
 	bi := inc.cm.Lambda
@@ -129,7 +131,7 @@ func (inc *Incremental) Append(r model.Request) error {
 			}
 		}
 		consider(p)
-		ap := inc.rowsAt[p]
+		ap := inc.a[p*w : (p+1)*w]
 		for j := 1; j <= inc.seq.M; j++ {
 			if model.ServerID(j) == r.Server {
 				continue

@@ -3,6 +3,8 @@ package offline
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"datacache/internal/model"
@@ -156,5 +158,57 @@ func TestIncrementalEmptyStream(t *testing.T) {
 	sched, err := inc.Result().Schedule()
 	if err != nil || len(sched.Caches) != 0 {
 		t.Errorf("empty schedule: %v (%v)", sched, err)
+	}
+}
+
+// TestIncrementalResetEqualsNew: a used Incremental, after Reset, holds
+// exactly NewIncremental's state vector for vector (contents, not
+// capacity), and then serves a new stream bit for bit like a fresh one.
+func TestIncrementalResetEqualsNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 20; trial++ {
+		used, cm := randomInstance(rng, 5, 60)
+		next := make([]model.Request, 40)
+		tm := 0.0
+		for i := range next {
+			tm += 0.01 + rng.Float64()*2
+			next[i] = model.Request{Server: model.ServerID(1 + rng.Intn(used.M)), Time: tm}
+		}
+		inc, err := NewIncremental(used.M, used.Origin, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range used.Requests {
+			if err := inc.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inc.Reset()
+		ref, err := NewIncremental(used.M, used.Origin, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inc.seq.M != ref.seq.M || inc.seq.Origin != ref.seq.Origin || inc.cm != ref.cm ||
+			!slices.Equal(inc.seq.Requests, ref.seq.Requests) ||
+			!slices.Equal(inc.c, ref.c) || !slices.Equal(inc.d, ref.d) || !slices.Equal(inc.b, ref.b) ||
+			!slices.Equal(inc.cBr, ref.cBr) || !slices.Equal(inc.dBr, ref.dBr) || !slices.Equal(inc.dPv, ref.dPv) ||
+			!slices.Equal(inc.prev, ref.prev) || !slices.Equal(inc.lastOn, ref.lastOn) ||
+			!slices.Equal(inc.next, ref.next) || !slices.Equal(inc.a, ref.a) {
+			t.Fatalf("trial %d: reset state\n%+v\nfresh\n%+v", trial, inc, ref)
+		}
+		for i, r := range next {
+			if err := inc.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(inc.Cost()) != math.Float64bits(ref.Cost()) {
+				t.Fatalf("trial %d request %d: cost %v, fresh %v", trial, i, inc.Cost(), ref.Cost())
+			}
+		}
+		if !reflect.DeepEqual(inc.Result(), ref.Result()) {
+			t.Fatalf("trial %d: results differ after the second stream", trial)
+		}
 	}
 }

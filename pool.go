@@ -1,9 +1,10 @@
 package datacache
 
 import (
-	"container/list"
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"datacache/internal/engine"
@@ -52,9 +53,11 @@ type PoolOptions struct {
 	// MaxItems bounds how many items may hold live engine state at once
 	// (0 means unbounded). When a new item would exceed the bound, the
 	// least-recently-served live item is evicted: its session closes and
-	// its engine/DP state is freed, while its cumulative cost/optimum
-	// accounting is retained so pool and per-item totals stay monotone.
-	// A later request for an evicted item revives it with fresh SC state.
+	// its engine/DP state is handed to the item being admitted, reset in
+	// place, so engine memory is reused rather than freed, while the
+	// evicted item's cumulative cost/optimum accounting is retained so
+	// pool and per-item totals stay monotone. A later request for an
+	// evicted item revives it with fresh SC state.
 	MaxItems int
 	// TenantSLOWindow, when positive, tracks each tenant's competitive
 	// ratio over a rolling window of that many requests (readable via
@@ -135,8 +138,12 @@ type PoolStats struct {
 // plus the accounting retired from evicted incarnations.
 type poolItem struct {
 	key  ItemKey
-	sess *Session      // nil while evicted
-	elem *list.Element // LRU position while live, nil otherwise
+	sess *Session // nil while evicted
+
+	// The intrusive LRU list of live items, by last serve: newer points
+	// towards the most recently served item, older towards the eviction
+	// candidate. Both are nil while evicted.
+	newer, older *poolItem
 
 	prevCost, prevOpt float64   // live session totals at the last serve
 	prevShadow        []float64 // live session per-shadow cost at the last serve
@@ -177,7 +184,8 @@ type tenantAcct struct {
 // Pool serves a multi-item, multi-tenant keyspace over one cluster: it
 // lazily instantiates one engine/DP pair (a Session) per (tenant, item)
 // key on first request, optionally bounds live engine state with
-// LRU-over-last-served eviction, and rolls per-item cost/optimum/ratio up
+// LRU-over-last-served eviction (the evicted session is reset in place
+// for the key being admitted), and rolls per-item cost/optimum/ratio up
 // into per-tenant and pool-wide totals. Pool totals are monotone and sum
 // to the per-item totals (to floating-point accumulation order).
 //
@@ -189,10 +197,11 @@ type Pool struct {
 	cm     CostModel
 	opts   PoolOptions
 
-	items   map[ItemKey]*poolItem
-	lru     *list.List // live items, most recently served at the front
-	live    int
-	tenants map[string]*tenantAcct
+	items          map[ItemKey]*poolItem
+	newest, oldest *poolItem // ends of the live items' LRU list
+	live           int
+	tenants        map[string]*tenantAcct
+	batch          batchScratch
 
 	served    int
 	evictions int
@@ -228,9 +237,9 @@ func NewPool(m int, origin ServerID, cm CostModel, opts *PoolOptions) (*Pool, er
 	// model, unknown policy) surface at pool creation, not mid-traffic on
 	// the first request of some unlucky item. The probe must not record:
 	// a spurious zero-request stream would pollute the recording.
-	probeOpts := cloneSessionOptions(opts.Session)
+	probeOpts := opts.Session
 	probeOpts.Recorder = nil
-	probe, err := NewSession(m, origin, cm, probeOpts)
+	probe, err := NewSession(m, origin, cm, &probeOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -241,8 +250,8 @@ func NewPool(m int, origin ServerID, cm CostModel, opts *PoolOptions) (*Pool, er
 		cm:      cm,
 		opts:    *opts,
 		items:   map[ItemKey]*poolItem{},
-		lru:     list.New(),
 		tenants: map[string]*tenantAcct{},
+		batch:   batchScratch{group: map[ItemKey]int{}},
 	}
 	p.livePolicy = probe.Policy()
 	if names := probe.ShadowNames(); len(names) > 0 {
@@ -259,19 +268,6 @@ func NewPool(m int, origin ServerID, cm CostModel, opts *PoolOptions) (*Pool, er
 	return p, nil
 }
 
-// cloneSessionOptions copies the template so per-item sessions never
-// share mutable option state.
-func cloneSessionOptions(tpl SessionOptions) *SessionOptions {
-	o := tpl
-	if tpl.SLORules != nil {
-		o.SLORules = append([]AlertRule(nil), tpl.SLORules...)
-	}
-	if tpl.ShadowPolicies != nil {
-		o.ShadowPolicies = append([]PolicySpec(nil), tpl.ShadowPolicies...)
-	}
-	return &o
-}
-
 // tenantFor returns (creating if needed) the tenant's accumulator.
 func (p *Pool) tenantFor(tenant string) *tenantAcct {
 	ta := p.tenants[tenant]
@@ -286,9 +282,10 @@ func (p *Pool) tenantFor(tenant string) *tenantAcct {
 }
 
 // itemFor resolves the key to a live item, lazily instantiating (or
-// reviving) its session and evicting the least-recently-served item first
-// when the MaxItems bound would be exceeded. Reports whether the call
-// revived previously evicted state.
+// reviving) its session. When the MaxItems bound is full, the
+// least-recently-served item is evicted first and its session is reset
+// in place for this key instead of building a new one. Reports whether
+// the call revived previously evicted state.
 func (p *Pool) itemFor(tenant, item string) (*poolItem, bool, error) {
 	key := ItemKey{Tenant: tenant, Item: item}
 	it := p.items[key]
@@ -300,22 +297,25 @@ func (p *Pool) itemFor(tenant, item string) (*poolItem, bool, error) {
 	if it.sess != nil {
 		return it, false, nil
 	}
-	if p.opts.MaxItems > 0 {
-		for p.live >= p.opts.MaxItems {
-			p.evictLRU()
-		}
-	}
-	itemOpts := cloneSessionOptions(p.opts.Session)
-	if itemOpts.Recorder != nil {
+	o := p.opts.Session
+	if o.Recorder != nil {
 		// Scope the stream to this key; every incarnation (first open or
 		// post-eviction revival) opens a fresh stream, making incarnation
 		// boundaries explicit in the recording.
-		itemOpts.RecordTenant = tenant
-		itemOpts.RecordItem = item
+		o.RecordTenant = tenant
+		o.RecordItem = item
 	}
-	sess, err := NewSession(p.m, p.origin, p.cm, itemOpts)
-	if err != nil {
-		return nil, false, err
+	var sess *Session
+	if p.opts.MaxItems > 0 && p.live >= p.opts.MaxItems {
+		sess = p.evictLRU()
+		if err := sess.revive(p.m, p.origin, &o); err != nil {
+			return nil, false, err
+		}
+	} else {
+		var err error
+		if sess, err = NewSession(p.m, p.origin, p.cm, &o); err != nil {
+			return nil, false, err
+		}
 	}
 	revived := it.retiredN > 0 || it.revivals > 0
 	if revived {
@@ -324,21 +324,44 @@ func (p *Pool) itemFor(tenant, item string) (*poolItem, bool, error) {
 	}
 	it.sess = sess
 	it.prevCost, it.prevOpt = 0, 0
-	it.elem = p.lru.PushFront(it)
+	p.pushNewest(it)
 	p.live++
 	return it, revived, nil
 }
 
-// evictLRU retires the least-recently-served live item: its session
-// closes (the schedule horizon is the item's last request, so no cost is
-// added or lost), its cumulative accounting folds into the retained
-// totals, and its engine/DP state is freed.
-func (p *Pool) evictLRU() {
-	back := p.lru.Back()
-	if back == nil {
-		return
+// pushNewest links a live item in as the most recently served.
+func (p *Pool) pushNewest(it *poolItem) {
+	it.older = p.newest
+	if p.newest != nil {
+		p.newest.newer = it
+	} else {
+		p.oldest = it
 	}
-	it := back.Value.(*poolItem)
+	p.newest = it
+}
+
+// unlink takes a live item out of the LRU list.
+func (p *Pool) unlink(it *poolItem) {
+	if it.newer != nil {
+		it.newer.older = it.older
+	} else {
+		p.newest = it.older
+	}
+	if it.older != nil {
+		it.older.newer = it.newer
+	} else {
+		p.oldest = it.newer
+	}
+	it.newer, it.older = nil, nil
+}
+
+// evictLRU retires the least-recently-served live item and returns its
+// session: the session closes (the schedule horizon is the item's last
+// request, so no cost is added or lost) and its cumulative accounting
+// folds into the item's retained totals. The caller either revives the
+// session for another key or drops it.
+func (p *Pool) evictLRU() *Session {
+	it := p.oldest
 	_, _ = it.sess.Close() // horizon = last request; cannot fail there
 	it.retiredCost += it.sess.Cost()
 	it.retiredOpt += it.sess.OptimalCost()
@@ -359,13 +382,14 @@ func (p *Pool) evictLRU() {
 			rs.Drops += tot.Drops
 			rs.Divergence += tot.Divergence
 		}
-		it.prevShadow = nil
+		clear(it.prevShadow) // the next incarnation starts from zero
 	}
+	sess := it.sess
 	it.sess = nil
-	p.lru.Remove(it.elem)
-	it.elem = nil
+	p.unlink(it)
 	p.live--
 	p.evictions++
+	return sess
 }
 
 // Serve handles one live request for an item. Per-item request times must
@@ -404,7 +428,10 @@ func (p *Pool) Serve(tenant, item string, server ServerID, t float64) (PoolDecis
 		p.liveWin.Add(costDelta)
 	}
 	it.lastServed = t
-	p.lru.MoveToFront(it.elem)
+	if p.newest != it {
+		p.unlink(it)
+		p.pushNewest(it)
+	}
 	p.served++
 	p.cost += costDelta
 	p.opt += optDelta
@@ -440,8 +467,9 @@ type PoolRejection struct {
 // while independent items are unaffected.
 type PoolBatchResult struct {
 	// Decisions holds one entry per applied request, in submission order;
-	// each is identical to what the same request served through Serve
-	// would have returned.
+	// each is identical to what that request returned when the batch's
+	// requests were served through Serve in the batch's grouped order
+	// (see Pool.ServeBatch).
 	Decisions []PoolDecision
 	// Rejected lists the first rejected request of every item that had
 	// one, ascending by batch index.
@@ -457,11 +485,24 @@ type PoolBatchResult struct {
 	Ratio   float64
 }
 
+// batchScratch is the storage ServeBatch groups a batch by key in,
+// owned by the pool and reused from batch to batch.
+type batchScratch struct {
+	group   map[ItemKey]int // key -> its index in groups; emptied after grouping
+	groups  [][]int         // request indices per key, keys by first appearance
+	applied []bool          // per request: served without rejection
+}
+
 // ServeBatch serves an ordered multi-item batch under one call: requests
-// are grouped by (tenant, item) key, preserving submission order within
-// each group, and each group runs through exactly the same path as Serve
-// — so a batch leaves the pool in a state indistinguishable from the same
-// requests served one Serve call at a time.
+// are grouped by (tenant, item) key, groups in order of each key's first
+// appearance in the batch and requests in submission order within each
+// group, and every request runs through exactly the same path as Serve.
+// So a batch leaves the pool in a state indistinguishable from the same
+// requests served one Serve call at a time in that grouped order. Under
+// MaxItems the grouped order can differ from submission order in which
+// items are evicted: with MaxItems 1, the batch [a@1, b@2, a@3] serves
+// a@1, a@3, b@2 and evicts once, where three Serve calls in submission
+// order would evict twice and revive a.
 //
 // Failure is per-item partial (see PoolBatchResult). The context is
 // honored between requests: when ctx is canceled mid-batch, ServeBatch
@@ -472,28 +513,33 @@ func (p *Pool) ServeBatch(ctx context.Context, reqs []PoolRequest) (*PoolBatchRe
 		return nil, fmt.Errorf("datacache: pool is closed")
 	}
 	ctx = orBackground(ctx)
-	// Group by key, submission order preserved within each group and
-	// across group first-appearances.
-	type group struct{ idx []int }
-	byKey := map[ItemKey]*group{}
-	order := make([]*group, 0, 8)
+	// Group by key, keys by first appearance and requests in submission
+	// order within each key, reusing the index slices of earlier batches.
+	b := &p.batch
+	b.groups = b.groups[:0]
 	for i, r := range reqs {
 		key := ItemKey{Tenant: r.Tenant, Item: r.Item}
-		g := byKey[key]
-		if g == nil {
-			g = &group{}
-			byKey[key] = g
-			order = append(order, g)
+		g, ok := b.group[key]
+		if !ok {
+			g = len(b.groups)
+			b.group[key] = g
+			b.groups = slices.Grow(b.groups, 1)[:g+1]
+			b.groups[g] = b.groups[g][:0]
 		}
-		g.idx = append(g.idx, i)
+		b.groups[g] = append(b.groups[g], i)
 	}
-	res := &PoolBatchResult{FirstRejected: -1}
-	decisions := make([]PoolDecision, len(reqs))
-	applied := make([]bool, len(reqs))
+	for _, idx := range b.groups {
+		r := reqs[idx[0]]
+		delete(b.group, ItemKey{Tenant: r.Tenant, Item: r.Item})
+	}
+	b.applied = slices.Grow(b.applied[:0], len(reqs))[:len(reqs)]
+	clear(b.applied)
+
+	res := &PoolBatchResult{FirstRejected: -1, Decisions: make([]PoolDecision, len(reqs))}
 	var ctxErr error
 serve:
-	for _, g := range order {
-		for _, i := range g.idx {
+	for _, idx := range b.groups {
+		for _, i := range idx {
 			if err := ctx.Err(); err != nil {
 				ctxErr = err
 				break serve
@@ -506,16 +552,19 @@ serve:
 				res.Rejected = append(res.Rejected, PoolRejection{Index: i, Reason: err.Error()})
 				break
 			}
-			decisions[i] = d
-			applied[i] = true
+			res.Decisions[i] = d
+			b.applied[i] = true
 		}
 	}
-	for i := range reqs {
-		if applied[i] {
-			res.Decisions = append(res.Decisions, decisions[i])
+	// Close the gaps the unapplied requests left, in submission order.
+	kept := res.Decisions[:0]
+	for i, ok := range b.applied {
+		if ok {
+			kept = append(kept, res.Decisions[i])
 		}
 	}
-	sort.Slice(res.Rejected, func(a, b int) bool { return res.Rejected[a].Index < res.Rejected[b].Index })
+	res.Decisions = kept
+	slices.SortFunc(res.Rejected, func(x, y PoolRejection) int { return cmp.Compare(x.Index, y.Index) })
 	if len(res.Rejected) > 0 {
 		res.FirstRejected = res.Rejected[0].Index
 		res.RejectReason = res.Rejected[0].Reason
@@ -593,8 +642,9 @@ func (p *Pool) Item(tenant, item string) (ItemStats, bool) {
 }
 
 // ItemSession returns the live session behind one key, or nil when the
-// key is unknown or its state is evicted. The session shares the pool's
-// synchronization; treat it as read-only.
+// key is unknown or its state is evicted. The session is valid until the
+// key is evicted; after that the pool resets it to serve another key.
+// It shares the pool's synchronization; treat it as read-only.
 func (p *Pool) ItemSession(tenant, item string) *Session {
 	it, ok := p.items[ItemKey{Tenant: tenant, Item: item}]
 	if !ok {
@@ -802,7 +852,7 @@ func (p *Pool) Close() error {
 	if p.closed {
 		return nil
 	}
-	for p.lru.Len() > 0 {
+	for p.oldest != nil {
 		// Closing reuses the eviction path but should not count as an
 		// eviction in the stats.
 		p.evictLRU()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -419,5 +420,61 @@ func TestPoolValidation(t *testing.T) {
 	}
 	if _, err := datacache.NewPool(2, 1, datacache.CostModel{Mu: -1, Lambda: 1}, nil); err == nil {
 		t.Error("invalid cost model accepted")
+	}
+}
+
+// TestPoolBatchOrderUnderEviction pins ServeBatch's order under
+// MaxItems: a batch serves keys in order of first appearance, so the
+// batch [a@1, b@2, a@3] with MaxItems 1 serves a@1, a@3, b@2 — one
+// eviction, a@3 a hit, cost 11 — and equals Serve calls in that grouped
+// order, not in submission order (two evictions, a revived, a@3 a miss,
+// cost 12).
+func TestPoolBatchOrderUnderEviction(t *testing.T) {
+	cm := datacache.CostModel{Mu: 1, Lambda: 2}
+	newPool := func() *datacache.Pool {
+		pool, err := datacache.NewPool(2, 1, cm, &datacache.PoolOptions{MaxItems: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pool
+	}
+	batch := []datacache.PoolRequest{
+		{Item: "a", Server: 2, Time: 1},
+		{Item: "b", Server: 2, Time: 2},
+		{Item: "a", Server: 2, Time: 3},
+	}
+	serveAll := func(order []int) (*datacache.Pool, []datacache.PoolDecision) {
+		pool := newPool()
+		out := make([]datacache.PoolDecision, len(batch))
+		for _, i := range order {
+			r := batch[i]
+			d, err := pool.Serve(r.Tenant, r.Item, r.Server, r.Time)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = d
+		}
+		return pool, out
+	}
+
+	batched := newPool()
+	res, err := batched.ServeBatch(context.Background(), batch)
+	if err != nil || res.FirstRejected >= 0 {
+		t.Fatalf("batch: %v, rejected at %d", err, res.FirstRejected)
+	}
+	if st := batched.Stats(); st.Evictions != 1 || st.Revivals != 0 || !res.Decisions[2].Hit || res.Cost != 11 {
+		t.Fatalf("batch: %d evictions, %d revivals, a@3 hit %v, cost %v; want 1, 0, true, 11",
+			st.Evictions, st.Revivals, res.Decisions[2].Hit, res.Cost)
+	}
+
+	grouped, want := serveAll([]int{0, 2, 1})
+	if !reflect.DeepEqual(res.Decisions, want) || grouped.Stats() != batched.Stats() {
+		t.Fatalf("batch differs from Serve calls in grouped order:\n%+v\n%+v", res.Decisions, want)
+	}
+
+	serial, dec := serveAll([]int{0, 1, 2})
+	if st := serial.Stats(); st.Evictions != 2 || st.Revivals != 1 || dec[2].Hit || st.Cost != 12 {
+		t.Fatalf("submission order: %d evictions, %d revivals, a@3 hit %v, cost %v; want 2, 1, false, 12",
+			st.Evictions, st.Revivals, dec[2].Hit, st.Cost)
 	}
 }

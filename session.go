@@ -245,15 +245,7 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 	if err != nil {
 		return nil, err
 	}
-	var slo *obs.SLO
-	if opts.SLOWindow > 0 {
-		rules := opts.SLORules
-		if rules == nil {
-			rules = []AlertRule{Theorem3Rule()}
-		}
-		slo = obs.NewSLO(opts.SLOWindow, rules...)
-	}
-	s := &Session{policy: sp.Spec(), cm: cm, stream: stream, inc: inc, ring: ring, slo: slo, hybrid: hybrid, scShadowIdx: -1}
+	s := &Session{policy: sp.Spec(), cm: cm, stream: stream, inc: inc, ring: ring, hybrid: hybrid, scShadowIdx: -1}
 	if hybrid != nil {
 		// A hybrid live policy always runs its own SC fallback as a shadow
 		// — the built-in self-check that planning never loses to the pure
@@ -281,10 +273,39 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 				s.scShadowIdx = i
 			}
 		}
-		if s.scShadowIdx >= 0 && s.shadowMargin > 0 {
+	}
+	s.open(m, origin, opts)
+	return s, nil
+}
+
+// open starts an incarnation on engine state that is new or has just
+// been reset: it zeroes the per-serve state, empties the trace ring,
+// builds the SLO and alert trackers the options ask for, and opens the
+// recorder stream. NewSession and revive share it, so a revived session
+// starts exactly as a new one with the same options would.
+func (s *Session) open(m int, origin ServerID, opts *SessionOptions) {
+	s.prevCost, s.prevOpt = 0, 0
+	s.recTrace = ""
+	s.closed, s.final = false, nil
+	if s.ring != nil {
+		s.ring.Reset()
+	}
+	s.slo = nil
+	if opts.SLOWindow > 0 {
+		rules := opts.SLORules
+		if rules == nil {
+			rules = []AlertRule{Theorem3Rule()}
+		}
+		s.slo = obs.NewSLO(opts.SLOWindow, rules...)
+	}
+	s.shadowAlert, s.plannerAlert = nil, nil
+	if s.shadows != nil && s.shadowMargin > 0 {
+		s.shadowAlert = obs.NewTracker(shadowRule(s.shadowMargin))
+		if s.scShadowIdx >= 0 {
 			s.plannerAlert = obs.NewTracker(plannerRule(s.shadowMargin))
 		}
 	}
+	s.rec, s.recStream = nil, 0
 	if opts.Recorder != nil && !opts.Recorder.Closed() {
 		s.rec = opts.Recorder
 		s.recStream = s.rec.OpenStream(recorder.StreamInfo{
@@ -293,14 +314,33 @@ func NewSession(m int, origin ServerID, cm CostModel, opts *SessionOptions) (*Se
 			Item:    opts.RecordItem,
 			M:       m,
 			Origin:  int(origin),
-			Mu:      cm.Mu,
-			Lambda:  cm.Lambda,
+			Mu:      s.cm.Mu,
+			Lambda:  s.cm.Lambda,
 			// The full canonical spec, so replay rebuilds the identical
 			// decider parameters.
 			Policy: s.policy,
 		})
 	}
-	return s, nil
+}
+
+// revive starts a new incarnation of a closed session: the stream, the
+// streaming DP and the shadows reset in place, keeping their storage,
+// and open runs again with opts. The session must have been built by
+// NewSession with the same m, origin and options but for the record
+// labels; it then serves exactly as a new one would. A Pool hands an
+// evicted item's session to the key it admits this way.
+func (s *Session) revive(m int, origin ServerID, opts *SessionOptions) error {
+	if err := s.stream.Reset(); err != nil {
+		return err
+	}
+	s.inc.Reset()
+	if s.shadows != nil {
+		if err := s.shadows.Reset(); err != nil {
+			return err
+		}
+	}
+	s.open(m, origin, opts)
+	return nil
 }
 
 // SetRecordTraceID stamps the W3C trace id carried by the next serve

@@ -87,8 +87,8 @@ func plannerRule(margin float64) AlertRule {
 	}
 }
 
-// initShadows wires the shadow set and the shadow_beats_live tracker
-// into a freshly created session.
+// initShadows wires the shadow set into a freshly created session; open
+// builds the shadow_beats_live tracker.
 func (s *Session) initShadows(m int, origin ServerID, opts *SessionOptions) error {
 	if len(opts.ShadowPolicies) == 0 {
 		return nil
@@ -126,9 +126,6 @@ func (s *Session) initShadows(m int, origin ServerID, opts *SessionOptions) erro
 	s.shadowMargin = opts.ShadowMargin
 	if s.shadowMargin == 0 {
 		s.shadowMargin = DefaultShadowMargin
-	}
-	if s.shadowMargin > 0 {
-		s.shadowAlert = obs.NewTracker(shadowRule(s.shadowMargin))
 	}
 	return nil
 }
