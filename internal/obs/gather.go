@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -81,25 +80,7 @@ func (p MetricPoint) Key() string {
 // WritePrometheus: same freshness semantics, structured values instead
 // of text. Safe to call concurrently with scrapes and hot-path updates.
 func (r *Registry) Gather(visit func(MetricPoint)) {
-	r.mu.Lock()
-	hooks := r.collectors
-	r.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, 0, len(names))
-	for _, name := range names {
-		fams = append(fams, r.families[name])
-	}
-	r.mu.Unlock()
-
-	for _, f := range fams {
+	for _, f := range r.snapshot() {
 		f.series.Range(func(k, m interface{}) bool {
 			p := MetricPoint{
 				Name:        f.name,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,9 +16,9 @@ import (
 // gauges and fixed-bucket histograms, grouped into label families by a
 // Registry that can render itself in the Prometheus text exposition
 // format. Hot paths (Inc/Set/Observe) are lock-free; only the first use
-// of a new label combination takes a lock. Callers cache the *Counter /
-// *Gauge / *Histogram returned by With, so steady-state request serving
-// performs no map lookups at all.
+// of a new label combination takes a lock. A caller that caches the
+// *Counter / *Gauge / *Histogram returned by With skips even the map
+// lookup on its hot path.
 
 // Counter is a monotonically increasing count.
 type Counter struct{ v atomic.Int64 }
@@ -321,20 +322,20 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.HistogramVec(name, help, buckets).With()
 }
 
-// / RegisterCollector installs a scrape-time hook: fn runs at the start of
-// every WritePrometheus, before any family is rendered, so it can refresh
-// gauges whose source of truth lives elsewhere (the Go runtime, an OS
-// counter). Hooks run unlocked and may use the registry freely.
+// RegisterCollector installs a scrape-time hook: fn runs before every
+// WritePrometheus, WriteOpenMetrics and Gather, ahead of any family
+// being read, so it can refresh series whose source of truth lives
+// elsewhere (the Go runtime, an OS counter, per-entry state). Hooks run
+// unlocked and may use the registry freely.
 func (r *Registry) RegisterCollector(fn func()) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, fn)
 	r.mu.Unlock()
 }
 
-// WritePrometheus renders every family in the Prometheus text exposition
-// format (version 0.0.4), families and series sorted for deterministic
-// scrapes. Registered collectors run first.
-func (r *Registry) WritePrometheus(w io.Writer) {
+// snapshot runs the registered collectors, then returns the families
+// sorted by name: the first step of every render and of Gather.
+func (r *Registry) snapshot() []*family {
 	r.mu.Lock()
 	hooks := r.collectors
 	r.mu.Unlock()
@@ -342,33 +343,44 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fn()
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
+	defer r.mu.Unlock()
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		fams = append(fams, r.families[name])
-	}
-	r.mu.Unlock()
+	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	return fams
+}
 
-	for _, f := range fams {
-		type row struct {
-			values []string
-			metric interface{}
-		}
-		var rows []row
-		f.series.Range(func(k, m interface{}) bool {
-			rows = append(rows, row{splitKey(k.(string), len(f.labels)), m})
-			return true
-		})
+// row is one series of a family as the writers render it.
+type row struct {
+	key    string // the joined label values the series is stored under
+	values []string
+	metric interface{}
+}
+
+// rows returns the family's series sorted by their stored key, which is
+// label-value order, so scrapes are deterministic.
+func (f *family) rows() []row {
+	var rows []row
+	f.series.Range(func(k, m interface{}) bool {
+		key := k.(string)
+		rows = append(rows, row{key, splitKey(key, len(f.labels)), m})
+		return true
+	})
+	slices.SortFunc(rows, func(a, b row) int { return strings.Compare(a.key, b.key) })
+	return rows
+}
+
+// WritePrometheus renders every family in the Prometheus text exposition
+// format (version 0.0.4), families and series sorted for deterministic
+// scrapes. Registered collectors run first.
+func (r *Registry) WritePrometheus(w io.Writer) {
+	for _, f := range r.snapshot() {
+		rows := f.rows()
 		if len(rows) == 0 {
 			continue
 		}
-		sort.Slice(rows, func(i, j int) bool {
-			return strings.Join(rows[i].values, labelSep) < strings.Join(rows[j].values, labelSep)
-		})
 		if f.help != "" {
 			fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}

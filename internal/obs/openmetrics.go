@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -71,40 +70,11 @@ func (h *Histogram) Exemplars() []string {
 // format, families and series sorted for deterministic scrapes.
 // Registered collectors run first, as in WritePrometheus.
 func (r *Registry) WriteOpenMetrics(w io.Writer) {
-	r.mu.Lock()
-	hooks := r.collectors
-	r.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, 0, len(names))
-	for _, name := range names {
-		fams = append(fams, r.families[name])
-	}
-	r.mu.Unlock()
-
-	for _, f := range fams {
-		type row struct {
-			values []string
-			metric interface{}
-		}
-		var rows []row
-		f.series.Range(func(k, m interface{}) bool {
-			rows = append(rows, row{splitKey(k.(string), len(f.labels)), m})
-			return true
-		})
+	for _, f := range r.snapshot() {
+		rows := f.rows()
 		if len(rows) == 0 {
 			continue
 		}
-		sort.Slice(rows, func(i, j int) bool {
-			return strings.Join(rows[i].values, labelSep) < strings.Join(rows[j].values, labelSep)
-		})
 		// OpenMetrics metric families are named without the counter
 		// _total suffix; the samples keep it.
 		famName := f.name

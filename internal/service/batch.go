@@ -84,10 +84,17 @@ type SessionBatchResponse struct {
 	Ratio         float64         `json:"ratio"`
 }
 
-// decodeBatch parses the batch body in any of its three accepted shapes.
-func decodeBatch(r *http.Request) ([]BatchRequestItem, error) {
+// batchBody is the JSON-object shape of a batch body, {"requests": [...]}.
+type batchBody[T any] interface{ items() []T }
+
+func (b SessionBatchRequest) items() []BatchRequestItem  { return b.Requests }
+func (b PoolBatchRequestBody) items() []PoolServeRequest { return b.Requests }
+
+// decodeBatch parses a session or pool batch body in any of its three
+// accepted shapes: the JSON object B, a bare array of T, or NDJSON.
+func decodeBatch[B batchBody[T], T any](r *http.Request) ([]T, error) {
 	if ct := r.Header.Get("Content-Type"); strings.Contains(ct, "ndjson") {
-		return decodeNDJSON(r.Body)
+		return decodeNDJSON[T](r.Body)
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26)) // 64 MiB guard
 	if err != nil {
@@ -95,29 +102,29 @@ func decodeBatch(r *http.Request) ([]BatchRequestItem, error) {
 	}
 	trimmed := strings.TrimSpace(string(body))
 	if strings.HasPrefix(trimmed, "[") {
-		var items []BatchRequestItem
+		var items []T
 		if err := json.Unmarshal(body, &items); err != nil {
 			return nil, fmt.Errorf("bad batch array: %w", err)
 		}
 		return items, nil
 	}
-	var req SessionBatchRequest
+	var req B
 	dec := json.NewDecoder(strings.NewReader(trimmed))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("bad batch body: %w", err)
 	}
-	return req.Requests, nil
+	return req.items(), nil
 }
 
-// decodeNDJSON reads one BatchRequestItem per line. json.Decoder handles
-// the framing itself (values are self-delimiting), so blank lines and
-// ordinary newlines both work.
-func decodeNDJSON(body io.Reader) ([]BatchRequestItem, error) {
-	var items []BatchRequestItem
+// decodeNDJSON reads one T per line. json.Decoder handles the framing
+// itself (values are self-delimiting), so blank lines and ordinary
+// newlines both work.
+func decodeNDJSON[T any](body io.Reader) ([]T, error) {
+	var items []T
 	dec := json.NewDecoder(body)
 	for {
-		var item BatchRequestItem
+		var item T
 		if err := dec.Decode(&item); err != nil {
 			if errors.Is(err, io.EOF) {
 				return items, nil
@@ -135,7 +142,7 @@ func decodeNDJSON(body io.Reader) ([]BatchRequestItem, error) {
 // has resolved the entry; this handler owns budget admission, locking and
 // the reply.
 func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request, id string, entry *sessionEntry) {
-	items, err := decodeBatch(r)
+	items, err := decodeBatch[SessionBatchRequest](r)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
@@ -150,11 +157,11 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request, id s
 		reqs[i] = model.Request{Server: it.Server, Time: it.at()}
 	}
 
-	if !s.acquireServeSlot(w, r, id, entry) {
+	if !s.acquireServeSlot(w, r, "session", id, &entry.inflight) {
 		return
 	}
 	defer entry.inflight.Add(-1)
-	if !s.lockEntry(w, r, entry) {
+	if !s.lockEntry(w, r, "session", entry.lk) {
 		return
 	}
 	if entry.sess.Closed() {
@@ -176,9 +183,6 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request, id s
 	if res != nil {
 		n = entry.sess.N()
 		evs = append(evs, entry.evs...) // copied: the buffer is reused under the lock
-		if len(res.Decisions) > 0 {
-			s.publishSessionGauges(id, entry)
-		}
 	}
 	entry.lk.unlock()
 	if err != nil {

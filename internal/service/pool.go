@@ -2,10 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -29,22 +26,20 @@ import (
 //
 // Per-pool metric series — dc_pool_items, dc_pool_evictions_total,
 // dc_pool_cost / dc_pool_optimal_cost / dc_pool_cost_over_optimum and
-// the per-tenant dc_pool_tenant_windowed_ratio — are retired when the
-// pool closes, exactly like the per-session gauges.
+// the per-tenant dc_pool_tenant_windowed_ratio — are read from the pool
+// when a scrape or a history sample asks, and retired when the pool
+// closes, exactly like the per-session series.
 
 // poolEntry wraps a Pool with the same concurrency shape a sessionEntry
 // has: a context-aware entry lock for serialization and an inflight
-// budget counter for shedding. It also remembers every tenant label the
-// pool has published so closing retires exactly those series, and the
-// eviction count already pushed to the dc_pool_evictions_total counter
-// (counters are monotone, so the publisher feeds deltas).
+// budget counter for shedding. It also remembers the eviction count
+// already fed to the dc_pool_evictions_total counter (counters are
+// monotone, so the collector feeds deltas).
 type poolEntry struct {
 	lk       entryLock
 	inflight atomic.Int64
 	pool     *datacache.Pool
-	tenants  map[string]bool
-	policies map[string]bool // shadow-policy labels published, for retirement
-	pubEvict int             // evictions already published to the counter
+	pubEvict int // evictions already published to the counter
 }
 
 // PoolCreateRequest is the /v1/pool body. Policy configures the
@@ -199,8 +194,8 @@ func poolState(id string, p *datacache.Pool) PoolState {
 	}
 }
 
-// publishPoolGauges refreshes a pool's metric series after a state
-// change. Callers hold the pool entry lock.
+// publishPoolGauges writes one pool's metric series. Callers hold the
+// pool entry lock.
 func (s *Server) publishPoolGauges(id string, e *poolEntry) {
 	p := e.pool
 	s.poolItems.With(id).Set(float64(p.LiveItems()))
@@ -213,7 +208,6 @@ func (s *Server) publishPoolGauges(id string, e *poolEntry) {
 	}
 	for _, ts := range p.Tenants() {
 		s.poolTenantWRat.With(id, ts.Tenant).Set(ts.WindowedRatio)
-		e.tenants[ts.Tenant] = true
 	}
 	// Shadow-policy standings, the cheap O(K) path: cumulative costs are
 	// maintained incrementally by the pool, no per-item walk here.
@@ -228,7 +222,6 @@ func (s *Server) publishPoolGauges(id string, e *poolEntry) {
 		c := costs[i]
 		s.poolShadowCost.With(id, name).Set(c)
 		s.poolShadowRat.With(id, name).Set(costOverOpt(c, opt))
-		e.policies[name] = true
 		if c < bestCost {
 			bestIdx, bestCost = i, c
 		}
@@ -239,7 +232,6 @@ func (s *Server) publishPoolGauges(id string, e *poolEntry) {
 	// Live last: a shadow may share the live policy's label and must not
 	// clobber a winning live row.
 	liveName := p.Policy()
-	e.policies[liveName] = true
 	if bestIdx < 0 {
 		s.poolShadowBest.With(id, liveName).Set(1)
 	} else if liveName != names[bestIdx] {
@@ -248,26 +240,20 @@ func (s *Server) publishPoolGauges(id string, e *poolEntry) {
 }
 
 // dropPoolGauges retires a closed pool's metric series so /metrics does
-// not grow without bound. It takes the entry lock itself; callers must
-// not hold it.
+// not grow without bound, reading the tenant and policy labels off the
+// closed pool. It takes the entry lock itself; callers must not hold it.
 func (s *Server) dropPoolGauges(id string, e *poolEntry) {
+	_ = e.lk.lock(context.Background()) // never fails: the context cannot be canceled
+	tenants := e.pool.Tenants()
+	policies := append([]string{e.pool.Policy()}, e.pool.ShadowNames()...)
+	e.lk.unlock()
 	s.poolItems.Delete(id)
 	s.poolCost.Delete(id)
 	s.poolOpt.Delete(id)
 	s.poolRatio.Delete(id)
 	s.poolEvict.Delete(id)
-	_ = e.lk.lock(context.Background()) // never fails: the context cannot be canceled
-	tenants := make([]string, 0, len(e.tenants))
-	for t := range e.tenants {
-		tenants = append(tenants, t)
-	}
-	policies := make([]string, 0, len(e.policies))
-	for p := range e.policies {
-		policies = append(policies, p)
-	}
-	e.lk.unlock()
-	for _, t := range tenants {
-		s.poolTenantWRat.Delete(id, t)
+	for _, ts := range tenants {
+		s.poolTenantWRat.Delete(id, ts.Tenant)
 	}
 	for _, p := range policies {
 		s.poolShadowCost.Delete(id, p)
@@ -275,31 +261,6 @@ func (s *Server) dropPoolGauges(id string, e *poolEntry) {
 		s.poolShadowBest.Delete(id, p)
 	}
 	s.tracer.DropSession(id)
-}
-
-// acquirePoolSlot admits a serve operation against the pool's inflight
-// budget — the same shedding contract acquireServeSlot applies to
-// sessions. On success the caller must release with e.inflight.Add(-1).
-func (s *Server) acquirePoolSlot(w http.ResponseWriter, r *http.Request, id string, e *poolEntry) bool {
-	if e.inflight.Add(1) > s.inflight {
-		e.inflight.Add(-1)
-		s.batchShed.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusTooManyRequests,
-			fmt.Errorf("pool %q has %d serve operations inflight (budget %d)", id, s.inflight, s.inflight))
-		return false
-	}
-	return true
-}
-
-// lockPool acquires the pool entry lock honoring the request context.
-func (s *Server) lockPool(w http.ResponseWriter, r *http.Request, e *poolEntry) bool {
-	if err := e.lk.lock(r.Context()); err != nil {
-		s.httpError(w, r, StatusClientClosedRequest,
-			fmt.Errorf("client gone while waiting for pool lock: %v", err))
-		return false
-	}
-	return true
 }
 
 func (s *Server) handlePoolCreate(w http.ResponseWriter, r *http.Request) {
@@ -339,12 +300,8 @@ func (s *Server) handlePoolCreate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	entry := &poolEntry{lk: newEntryLock(), pool: pool, tenants: map[string]bool{}, policies: map[string]bool{}}
-	s.pools.put(id, entry)
+	s.pools.put(id, &poolEntry{lk: newEntryLock(), pool: pool})
 	s.poolsOpen.Add(1)
-	_ = entry.lk.lock(context.Background())
-	s.publishPoolGauges(id, entry)
-	entry.lk.unlock()
 	w.Header().Set("Location", "/v1/pool/"+id)
 	writeJSON(w, http.StatusCreated, poolState(id, pool))
 }
@@ -358,51 +315,6 @@ func (s *Server) poolObserver() datacache.Observer {
 			s.engineEventK[k].Inc()
 		}
 	})
-}
-
-// decodePoolBatch parses the pool batch body in the same three shapes the
-// session batch accepts: {"requests": [...]}, a bare array, or NDJSON.
-func decodePoolBatch(r *http.Request) ([]PoolServeRequest, error) {
-	if ct := r.Header.Get("Content-Type"); strings.Contains(ct, "ndjson") {
-		return decodePoolNDJSON(r.Body)
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26)) // 64 MiB guard
-	if err != nil {
-		return nil, fmt.Errorf("reading batch body: %w", err)
-	}
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "[") {
-		var items []PoolServeRequest
-		if err := json.Unmarshal(body, &items); err != nil {
-			return nil, fmt.Errorf("bad batch array: %w", err)
-		}
-		return items, nil
-	}
-	var req PoolBatchRequestBody
-	dec := json.NewDecoder(strings.NewReader(trimmed))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad batch body: %w", err)
-	}
-	return req.Requests, nil
-}
-
-func decodePoolNDJSON(body io.Reader) ([]PoolServeRequest, error) {
-	var items []PoolServeRequest
-	dec := json.NewDecoder(body)
-	for {
-		var item PoolServeRequest
-		if err := dec.Decode(&item); err != nil {
-			if errors.Is(err, io.EOF) {
-				return items, nil
-			}
-			return nil, fmt.Errorf("bad NDJSON line %d: %w", len(items)+1, err)
-		}
-		items = append(items, item)
-		if len(items) > MaxBatchRequests {
-			return nil, fmt.Errorf("batch exceeds %d requests", MaxBatchRequests)
-		}
-	}
 }
 
 func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
@@ -424,11 +336,11 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		if !s.readJSON(w, r, &req) {
 			return
 		}
-		if !s.acquirePoolSlot(w, r, id, entry) {
+		if !s.acquireServeSlot(w, r, "pool", id, &entry.inflight) {
 			return
 		}
 		defer entry.inflight.Add(-1)
-		if !s.lockPool(w, r, entry) {
+		if !s.lockEntry(w, r, "pool", entry.lk) {
 			return
 		}
 		root := obs.SpanFrom(r.Context())
@@ -440,9 +352,6 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		d, err := entry.pool.Serve(req.Tenant, req.Item, req.Server, req.at())
 		elapsed := time.Since(start)
-		if err == nil {
-			s.publishPoolGauges(id, entry)
-		}
 		entry.lk.unlock()
 		if err != nil {
 			if span != nil {
@@ -470,7 +379,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 	case op == "record" && r.Method == http.MethodGet:
 		s.handleRecordDownload(w, r, id)
 	case op == "" && r.Method == http.MethodGet:
-		if !s.lockPool(w, r, entry) {
+		if !s.lockEntry(w, r, "pool", entry.lk) {
 			return
 		}
 		state := poolState(id, entry.pool)
@@ -482,7 +391,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		if !s.lockPool(w, r, entry) {
+		if !s.lockEntry(w, r, "pool", entry.lk) {
 			return
 		}
 		items, rankErr := entry.pool.TopItems(by, limit)
@@ -500,7 +409,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, PoolItemsResponse{ID: id, By: by, Total: total, Items: items})
 	case op == "shadow" && r.Method == http.MethodGet:
-		if !s.lockPool(w, r, entry) {
+		if !s.lockEntry(w, r, "pool", entry.lk) {
 			return
 		}
 		rep := entry.pool.ShadowReport()
@@ -520,7 +429,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 			ShadowReport: *rep,
 		})
 	case op == "" && r.Method == http.MethodDelete:
-		if !s.lockPool(w, r, entry) {
+		if !s.lockEntry(w, r, "pool", entry.lk) {
 			return
 		}
 		err := entry.pool.Close()
@@ -562,7 +471,7 @@ func parseItemsQuery(q url.Values) (by string, limit int, err error) {
 // multi-item batch under ONE entry-lock acquisition, grouped by item
 // inside the pool, with per-item partial-failure semantics.
 func (s *Server) handlePoolBatch(w http.ResponseWriter, r *http.Request, id string, entry *poolEntry) {
-	items, err := decodePoolBatch(r)
+	items, err := decodeBatch[PoolBatchRequestBody](r)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
@@ -577,11 +486,11 @@ func (s *Server) handlePoolBatch(w http.ResponseWriter, r *http.Request, id stri
 		reqs[i] = datacache.PoolRequest{Tenant: it.Tenant, Item: it.Item, Server: it.Server, Time: it.at()}
 	}
 
-	if !s.acquirePoolSlot(w, r, id, entry) {
+	if !s.acquireServeSlot(w, r, "pool", id, &entry.inflight) {
 		return
 	}
 	defer entry.inflight.Add(-1)
-	if !s.lockPool(w, r, entry) {
+	if !s.lockEntry(w, r, "pool", entry.lk) {
 		return
 	}
 	if entry.pool.Closed() {
@@ -600,9 +509,6 @@ func (s *Server) handlePoolBatch(w http.ResponseWriter, r *http.Request, id stri
 	var n int
 	if res != nil {
 		n = entry.pool.N()
-		if len(res.Decisions) > 0 {
-			s.publishPoolGauges(id, entry)
-		}
 	}
 	entry.lk.unlock()
 	if batchErr != nil {

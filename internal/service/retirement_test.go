@@ -1,14 +1,20 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"datacache/internal/model"
+	"datacache/internal/obs"
 	"datacache/internal/obs/tsdb"
 )
 
@@ -243,5 +249,192 @@ func TestSeriesRetirementSweep(t *testing.T) {
 				t.Errorf("history series %v survived %s close past the retention window", keys, tc.kind)
 			}
 		})
+	}
+}
+
+// TestRetirementClosedEntryWritesNothing covers the window between
+// DELETE's Close and its registry delete: the entry is still registered
+// but its session or pool is closed, so a Gather must write no series
+// for it, while the open entries next to it keep theirs.
+func TestRetirementClosedEntryWritesNothing(t *testing.T) {
+	s := New(WithSLOWindow(8))
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	ids := map[string]string{} // label -> "open" | "closed"
+	for _, fate := range []string{"open", "closed"} {
+		var st SessionState
+		post(t, srv.URL+"/v1/session", SessionCreateRequest{
+			M: 3, Origin: 1, Model: CostModelDTO{Mu: 1, Lambda: 2},
+			Policy: "hybrid:horizon=4,order=1", Shadows: []string{"migrate"},
+		}, &st)
+		for i := 0; i < 6; i++ {
+			post(t, srv.URL+"/v1/session/"+st.ID+"/request",
+				StreamAppendRequest{Server: model.ServerID(1 + i%3), Time: float64(i+1) * 0.5}, nil)
+		}
+		var pl PoolState
+		post(t, srv.URL+"/v1/pool", PoolCreateRequest{
+			M: 3, Origin: 1, Model: CostModelDTO{Mu: 1, Lambda: 1}, MaxItems: 1,
+			Shadows: []string{"replicate"},
+		}, &pl)
+		for i, item := range []string{"x", "y", "x"} {
+			post(t, srv.URL+"/v1/pool/"+pl.ID+"/request", PoolServeRequest{
+				Tenant: "acme", Item: item, Server: model.ServerID(1 + i%3), T: float64(i+1) * 0.5,
+			}, nil)
+		}
+		ids[`session="`+st.ID+`"`] = fate
+		ids[`pool="`+pl.ID+`"`] = fate
+		if fate != "closed" {
+			continue
+		}
+		// Close under the entry locks, as DELETE does, but leave both
+		// entries registered.
+		se, _ := s.sessions.get(st.ID)
+		_ = se.lk.lock(context.Background())
+		if _, err := se.sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		se.lk.unlock()
+		pe, _ := s.pools.get(pl.ID)
+		_ = pe.lk.lock(context.Background())
+		if err := pe.pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pe.lk.unlock()
+	}
+
+	seen := map[string]int{}
+	s.reg.Gather(func(p obs.MetricPoint) {
+		for label := range ids {
+			if strings.Contains(p.Key(), label) {
+				seen[label]++
+			}
+		}
+	})
+	for label, fate := range ids {
+		if fate == "open" && seen[label] == 0 {
+			t.Errorf("Gather wrote no series for the open entry %s", label)
+		}
+		if fate == "closed" && seen[label] != 0 {
+			t.Errorf("Gather wrote %d series for the closed entry %s", seen[label], label)
+		}
+	}
+}
+
+// TestRetirementHammer creates, serves, batches and closes sessions and
+// pools from several goroutines while others scrape /metrics and run
+// history sampling passes (run it under -race). Once every entry is
+// closed, a final scrape must carry no session or pool series.
+func TestRetirementHammer(t *testing.T) {
+	// Anomaly rules would add dc_alert_state rows keyed by watched series
+	// under the session label; they are not entry series, so they stay off.
+	s := New(WithSLOWindow(8), WithAnomalyRules([]tsdb.AnomalyRule{}))
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	call := func(method, path string, body interface{}, out interface{}) bool {
+		buf, _ := json.Marshal(body)
+		req, _ := http.NewRequest(method, srv.URL+path, bytes.NewReader(buf))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", method, path, err)
+			return false
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			t.Errorf("%s %s: status %d", method, path, resp.StatusCode)
+			return false
+		}
+		if out != nil {
+			return json.NewDecoder(resp.Body).Decode(out) == nil
+		}
+		return true
+	}
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func(scrape bool) {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !scrape {
+					s.SampleMetricsNow()
+					continue
+				}
+				resp, err := http.Get(srv.URL + "/metrics")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}(i == 0)
+	}
+
+	const workers, rounds = 4, 6
+	var writers sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for r := 0; r < rounds; r++ {
+				var st SessionState
+				if !call(http.MethodPost, "/v1/session", SessionCreateRequest{
+					M: 3, Origin: 1, Model: CostModelDTO{Mu: 1, Lambda: 2}, Shadows: []string{"migrate"},
+				}, &st) {
+					return
+				}
+				var batch SessionBatchRequest
+				for i := 0; i < 6; i++ {
+					req := BatchRequestItem{Server: model.ServerID(1 + (w+i)%3), T: float64(i+1) * 0.4}
+					if i < 3 {
+						call(http.MethodPost, "/v1/session/"+st.ID+"/request", StreamAppendRequest{Server: req.Server, Time: req.T}, nil)
+					} else {
+						batch.Requests = append(batch.Requests, req)
+					}
+				}
+				call(http.MethodPost, "/v1/session/"+st.ID+"/requests", batch, nil)
+				call(http.MethodDelete, "/v1/session/"+st.ID, nil, nil)
+
+				var pl PoolState
+				if !call(http.MethodPost, "/v1/pool", PoolCreateRequest{
+					M: 3, Origin: 1, Model: CostModelDTO{Mu: 1, Lambda: 1}, MaxItems: 2,
+					Shadows: []string{"replicate"},
+				}, &pl) {
+					return
+				}
+				var pb PoolBatchRequestBody
+				for i, item := range []string{"x", "y", "z", "x", "y", "z"} {
+					req := PoolServeRequest{Tenant: fmt.Sprint("t", i%2), Item: item, Server: model.ServerID(1 + (w+i)%3), T: float64(i+1) * 0.4}
+					if i < 3 {
+						call(http.MethodPost, "/v1/pool/"+pl.ID+"/request", req, nil)
+					} else {
+						pb.Requests = append(pb.Requests, req)
+					}
+				}
+				call(http.MethodPost, "/v1/pool/"+pl.ID+"/requests", pb, nil)
+				call(http.MethodDelete, "/v1/pool/"+pl.ID, nil, nil)
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+
+	sc := scrape(t, srv.URL)
+	for series := range sc.samples {
+		if strings.Contains(series, `session="`) || strings.Contains(series, `pool="`) {
+			t.Errorf("series %s survived its entry's close", series)
+		}
+	}
+	if v := sc.mustSample(t, `dc_sessions_open`); v != 0 {
+		t.Errorf("dc_sessions_open = %v after every close", v)
 	}
 }

@@ -13,7 +13,9 @@
 // envelope. Live sessions additionally export
 // engine decision counters, a decision-latency histogram, per-session
 // cost / optimum / cost_over_optimum / live_copies gauges, and a bounded
-// event trace at GET /v1/session/{id}/trace.
+// event trace at GET /v1/session/{id}/trace. Serving only updates the
+// counters and histograms; every per-session and per-pool series is read
+// from the entry when a scrape or a history sample asks.
 //
 // On top of that sits the SLO layer: every session tracks its
 // competitive ratio over a rolling window and evaluates alert rules
@@ -103,9 +105,10 @@ type Server struct {
 	spanCap      int
 	spanExporter obs.SpanExporter
 
-	// Hot-path metric handles, resolved once at construction so request
-	// serving performs no registry lookups (and, unlike the former
-	// map[string]int64 counter, takes no server-wide lock).
+	// Metric handles, resolved once at construction. Serving updates only
+	// counters and histograms, and takes no server-wide lock; the
+	// session- and pool-labelled gauge families are written by
+	// collectEntries when a scrape or a history sample asks.
 	httpRequests   *obs.CounterVec   // route, code
 	httpLatency    *obs.HistogramVec // route
 	engineEvents   *obs.CounterVec   // kind: request|hit|transfer|drop|timer|epoch-reset|mispredict
@@ -448,6 +451,7 @@ func New(opts ...Option) *Server {
 			s.shardSess[i].Set(float64(n))
 		}
 	})
+	s.reg.RegisterCollector(s.collectEntries)
 	if s.recorder != nil {
 		s.recRecords = s.reg.GaugeVec("dc_recorder_records",
 			"Records the flight recorder has durably handed to its encoder.", "mode")

@@ -24,17 +24,16 @@ import (
 // to close it and collect the final schedule. Unlike /v1/stream — which
 // only tracks the off-line optimum — a session actually serves the
 // traffic with an online policy. Every decision feeds the engine event
-// counters, the decision-latency histogram and the per-session
-// cost / optimum / cost_over_optimum / live_copies gauges on /metrics.
+// counters and the decision-latency histogram; the per-session
+// cost / optimum / cost_over_optimum / live_copies gauges and the rest
+// of a session's /metrics series are read from the session when a
+// scrape or a history sample asks (collectEntries).
 
 // sessionEntry wraps a Session with its own context-aware lock so
 // concurrent operations on different sessions never serialize anywhere:
 // the registry shard lock is held only for the lookup, and the entry lock
 // (an entryLock semaphore) is abandoned when the waiting client
-// disconnects. It also remembers every metric label this session has
-// published — the server labels of dc_session_server_cost and the rule
-// names of dc_alert_state — so closing the session can retire exactly
-// those series.
+// disconnects.
 //
 // inflight counts the serve operations (single requests and batches)
 // currently queued against the entry; the handler sheds work beyond the
@@ -43,9 +42,6 @@ type sessionEntry struct {
 	lk       entryLock
 	inflight atomic.Int64
 	sess     *datacache.Session
-	servers  map[string]bool
-	policies map[string]bool // shadow-metric policy labels published (live included)
-	alerts   []string
 	// evs buffers the engine events of the serve operation currently
 	// running under the entry lock; the handlers reset it before Serve and
 	// read it after, to annotate the request's trace span with what the
@@ -256,11 +252,33 @@ func annotateServeSpan(sp *obs.Span, id string, d datacache.Decision, events, sh
 	sp.End()
 }
 
-// publishSessionGauges refreshes the per-session metric series after a
-// state change. Every cost it reads — live, per server and per shadow —
-// is an O(M) ledger read. Callers hold the session entry lock.
-func (s *Server) publishSessionGauges(id string, e *sessionEntry) {
-	sess := e.sess
+// collectEntries writes every open session's and pool's metric series.
+// The registry runs it before each /metrics render and each history
+// sample, so the serve path writes no gauges. Each entry is read under
+// its lock, and a closed one is skipped: DELETE closes under the same
+// lock before it retires the entry's series, so a read that precedes
+// the close has its writes retired, and one that follows writes nothing.
+func (s *Server) collectEntries() {
+	s.sessions.forEach(func(id string, e *sessionEntry) {
+		_ = e.lk.lock(context.Background()) // never fails: the context cannot be canceled
+		if !e.sess.Closed() {
+			s.publishSessionGauges(id, e.sess)
+		}
+		e.lk.unlock()
+	})
+	s.pools.forEach(func(id string, e *poolEntry) {
+		_ = e.lk.lock(context.Background())
+		if !e.pool.Closed() {
+			s.publishPoolGauges(id, e)
+		}
+		e.lk.unlock()
+	})
+}
+
+// publishSessionGauges writes one session's metric series. Every cost
+// it reads — live, per server and per shadow — is an O(M) ledger read.
+// Callers hold the session entry lock.
+func (s *Server) publishSessionGauges(id string, sess *datacache.Session) {
 	cost, opt := sess.Cost(), sess.OptimalCost()
 	s.sessionCost.With(id).Set(cost)
 	s.sessionOpt.With(id).Set(opt)
@@ -277,14 +295,14 @@ func (s *Server) publishSessionGauges(id string, e *sessionEntry) {
 		srv := strconv.Itoa(int(sc.Server))
 		s.serverCost.With(id, srv, "caching").Set(sc.Caching)
 		s.serverCost.With(id, srv, "transfer").Set(sc.Transfer)
-		e.servers[srv] = true
 	}
 
 	if slo := sess.SLO(); slo != nil {
 		s.sessionWRat.With(id).Set(slo.WindowedRatio())
-		for _, a := range slo.Alerts() {
-			s.alertState.With(id, a.Rule.Name).Set(float64(a.State))
-		}
+	}
+	// SLO rules, shadow_beats_live and planner_worse_than_sc alike.
+	for _, a := range sess.Alerts() {
+		s.alertState.With(id, a.Rule.Name).Set(float64(a.State))
 	}
 
 	if st, ok := sess.PlannerStats(); ok {
@@ -293,9 +311,6 @@ func (s *Server) publishSessionGauges(id string, e *sessionEntry) {
 		s.plannerConf.With(id).Set(st.Confidence)
 		s.plannerPlans.With(id).Set(float64(st.Plans))
 		s.plannerMispred.With(id).Set(float64(st.Mispredicts))
-		if a, ok := sess.PlannerAlert(); ok {
-			s.alertState.With(id, a.Rule.Name).Set(float64(a.State))
-		}
 	}
 
 	// Shadow standings, priced exactly as the live cost above.
@@ -306,7 +321,6 @@ func (s *Server) publishSessionGauges(id string, e *sessionEntry) {
 			c := sess.ShadowCostLive(i)
 			s.shadowCost.With(id, name).Set(c)
 			s.shadowRatio.With(id, name).Set(costOverOpt(c, opt))
-			e.policies[name] = true
 			if c < bestCost {
 				bestCost, bestIdx = c, i
 			}
@@ -317,14 +331,10 @@ func (s *Server) publishSessionGauges(id string, e *sessionEntry) {
 		// Live last: a shadow may share the live policy's label (the
 		// self-check configuration) and must not clobber a winning live row.
 		liveName := sess.Policy()
-		e.policies[liveName] = true
 		if bestIdx < 0 {
 			s.shadowBest.With(id, liveName).Set(1)
 		} else if liveName != names[bestIdx] {
 			s.shadowBest.With(id, liveName).Set(0)
-		}
-		if a, ok := sess.ShadowAlert(); ok {
-			s.alertState.With(id, a.Rule.Name).Set(float64(a.State))
 		}
 	}
 }
@@ -346,30 +356,28 @@ func boolGauge(b bool) float64 {
 }
 
 // dropSessionGauges removes a closed session's metric series so /metrics
-// does not grow without bound. It takes the entry lock itself; callers
-// must not hold it.
+// does not grow without bound. It reads the labels off the closed
+// session: every server (CostBreakdown lists all m), every alert rule,
+// and the live and shadow policies. It takes the entry lock itself;
+// callers must not hold it.
 func (s *Server) dropSessionGauges(id string, e *sessionEntry) {
+	_ = e.lk.lock(context.Background()) // never fails: the context cannot be canceled
+	breakdown := e.sess.CostBreakdown()
+	alerts := e.sess.Alerts()
+	policies := append([]string{e.sess.Policy()}, e.sess.ShadowNames()...)
+	e.lk.unlock()
 	s.sessionCost.Delete(id)
 	s.sessionOpt.Delete(id)
 	s.sessionRatio.Delete(id)
 	s.sessionLive.Delete(id)
+	s.sessionWRat.Delete(id)
 	s.plannerHitRat.Delete(id)
 	s.plannerDepth.Delete(id)
 	s.plannerConf.Delete(id)
 	s.plannerPlans.Delete(id)
 	s.plannerMispred.Delete(id)
-	_ = e.lk.lock(context.Background()) // never fails: the context cannot be canceled
-	servers := make([]string, 0, len(e.servers))
-	for srv := range e.servers {
-		servers = append(servers, srv)
-	}
-	policies := make([]string, 0, len(e.policies))
-	for p := range e.policies {
-		policies = append(policies, p)
-	}
-	alerts := append([]string(nil), e.alerts...)
-	e.lk.unlock()
-	for _, srv := range servers {
+	for _, sc := range breakdown {
+		srv := strconv.Itoa(int(sc.Server))
 		s.serverCost.Delete(id, srv, "caching")
 		s.serverCost.Delete(id, srv, "transfer")
 	}
@@ -378,9 +386,8 @@ func (s *Server) dropSessionGauges(id string, e *sessionEntry) {
 		s.shadowRatio.Delete(id, p)
 		s.shadowBest.Delete(id, p)
 	}
-	s.sessionWRat.Delete(id)
-	for _, name := range alerts {
-		s.alertState.Delete(id, name)
+	for _, a := range alerts {
+		s.alertState.Delete(id, a.Rule.Name)
 	}
 	// Retire the session's retained spans the same way: a closed session
 	// must not keep occupying the bounded span store.
@@ -400,7 +407,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	entry := &sessionEntry{lk: newEntryLock(), servers: map[string]bool{}, policies: map[string]bool{}}
+	entry := &sessionEntry{lk: newEntryLock()}
 	// The id is minted before the session exists so the recorder stream
 	// is declared under it from the first record.
 	id := fmt.Sprintf("sn-%d", s.nextID.Add(1))
@@ -419,42 +426,28 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	entry.sess = sess
+	// The SLO rules, shadow_beats_live and planner_worse_than_sc share one
+	// transition hook; the last two setters are no-ops without their rule.
+	hook := s.alertHook(id)
 	if slo := sess.SLO(); slo != nil {
-		// The hook runs under the entry lock of whichever Serve triggers
-		// the transition; the gauge and counter writes are lock-free.
-		for _, a := range slo.Alerts() {
-			entry.alerts = append(entry.alerts, a.Rule.Name)
-		}
-		slo.SetTransitionHook(s.alertHook(id))
+		slo.SetTransitionHook(hook)
 	}
-	if a, ok := sess.ShadowAlert(); ok {
-		// The shadow_beats_live rule shares the SLO rules' gauge, counter
-		// and WARN-log plumbing, and is retired with them on close.
-		entry.alerts = append(entry.alerts, a.Rule.Name)
-		sess.SetShadowTransitionHook(s.alertHook(id))
-	}
-	if a, ok := sess.PlannerAlert(); ok {
-		// Likewise planner_worse_than_sc on hybrid sessions.
-		entry.alerts = append(entry.alerts, a.Rule.Name)
-		sess.SetPlannerTransitionHook(s.alertHook(id))
-	}
+	sess.SetShadowTransitionHook(hook)
+	sess.SetPlannerTransitionHook(hook)
 	s.sessions.put(id, entry)
 	s.sessionsOpen.Add(1)
-	_ = entry.lk.lock(context.Background())
-	s.publishSessionGauges(id, entry)
-	entry.lk.unlock()
 	w.Header().Set("Location", "/v1/session/"+id)
 	writeJSON(w, http.StatusCreated, sessionState(id, sess))
 }
 
 // alertHook builds the transition hook every alert tracker of a session
-// shares (SLO rules and shadow_beats_live alike): refresh the state
-// gauge, count the transition, and WARN-log it. The hook runs under the
-// entry lock of whichever Serve triggers the transition; the gauge and
-// counter writes are lock-free.
+// shares (SLO rules and shadow_beats_live alike): count the transition,
+// annotate the history timeline and WARN-log it. The dc_alert_state
+// gauge is read at scrape time like the session's other series. The
+// hook runs under the entry lock of whichever Serve triggers the
+// transition; the counter write is lock-free.
 func (s *Server) alertHook(id string) obs.TransitionHook {
 	return func(rule datacache.AlertRule, from, to datacache.AlertState, at, value float64) {
-		s.alertState.With(id, rule.Name).Set(float64(to))
 		s.alertTrans.With(rule.Name, to.String()).Inc()
 		// Pin the transition onto the history timeline (wall-clock
 		// stamped by the store), linking a firing alert to the
@@ -481,30 +474,31 @@ func (s *Server) alertHook(id string) obs.TransitionHook {
 	}
 }
 
-// lockEntry acquires the entry lock honoring the request context: a
-// client that disconnects while queued behind a long batch stops waiting
-// and its slot is released. Reports whether the lock is held; on failure
-// the 499 envelope has already been written.
-func (s *Server) lockEntry(w http.ResponseWriter, r *http.Request, e *sessionEntry) bool {
-	if err := e.lk.lock(r.Context()); err != nil {
+// lockEntry acquires a session's or pool's entry lock honoring the
+// request context: a client that disconnects while queued behind a long
+// batch stops waiting and its slot is released. kind ("session" or
+// "pool") names the entry in the error. Reports whether the lock is
+// held; on failure the 499 envelope has already been written.
+func (s *Server) lockEntry(w http.ResponseWriter, r *http.Request, kind string, lk entryLock) bool {
+	if err := lk.lock(r.Context()); err != nil {
 		s.httpError(w, r, StatusClientClosedRequest,
-			fmt.Errorf("client gone while waiting for session lock: %v", err))
+			fmt.Errorf("client gone while waiting for %s lock: %v", kind, err))
 		return false
 	}
 	return true
 }
 
-// acquireServeSlot admits a serve operation (single or batch) against the
-// session's inflight budget, shedding excess load with 429 + Retry-After
-// before the operation ever queues on the entry lock. On success the
-// caller must release the slot with entry.inflight.Add(-1).
-func (s *Server) acquireServeSlot(w http.ResponseWriter, r *http.Request, id string, e *sessionEntry) bool {
-	if e.inflight.Add(1) > s.inflight {
-		e.inflight.Add(-1)
+// acquireServeSlot admits a serve operation (single or batch) against a
+// session's or pool's inflight budget, shedding excess load with 429 +
+// Retry-After before the operation ever queues on the entry lock. On
+// success the caller must release the slot with inflight.Add(-1).
+func (s *Server) acquireServeSlot(w http.ResponseWriter, r *http.Request, kind, id string, inflight *atomic.Int64) bool {
+	if inflight.Add(1) > s.inflight {
+		inflight.Add(-1)
 		s.batchShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		s.httpError(w, r, http.StatusTooManyRequests,
-			fmt.Errorf("session %q has %d serve operations inflight (budget %d)", id, s.inflight, s.inflight))
+			fmt.Errorf("%s %q has %d serve operations inflight (budget %d)", kind, id, s.inflight, s.inflight))
 		return false
 	}
 	return true
@@ -529,11 +523,11 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 		if !s.readJSON(w, r, &req) {
 			return
 		}
-		if !s.acquireServeSlot(w, r, id, entry) {
+		if !s.acquireServeSlot(w, r, "session", id, &entry.inflight) {
 			return
 		}
 		defer entry.inflight.Add(-1)
-		if !s.lockEntry(w, r, entry) {
+		if !s.lockEntry(w, r, "session", entry.lk) {
 			return
 		}
 		root := obs.SpanFrom(r.Context())
@@ -548,9 +542,6 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 		elapsed := time.Since(start)
 		n := entry.sess.N()
 		events := eventsLabel(entry.evs)
-		if err == nil {
-			s.publishSessionGauges(id, entry)
-		}
 		entry.lk.unlock()
 		if err != nil {
 			if span != nil {
@@ -583,21 +574,21 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 	case op == "requests" && r.Method == http.MethodPost:
 		s.handleSessionBatch(w, r, id, entry)
 	case op == "" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !s.lockEntry(w, r, "session", entry.lk) {
 			return
 		}
 		state := sessionState(id, entry.sess)
 		entry.lk.unlock()
 		writeJSON(w, http.StatusOK, state)
 	case op == "schedule" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !s.lockEntry(w, r, "session", entry.lk) {
 			return
 		}
 		sched := entry.sess.Schedule()
 		entry.lk.unlock()
 		writeJSON(w, http.StatusOK, sched)
 	case op == "trace" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !s.lockEntry(w, r, "session", entry.lk) {
 			return
 		}
 		events := entry.sess.Trace()
@@ -610,7 +601,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			ID: id, Cap: s.traceCap, Dropped: dropped, Events: events,
 		})
 	case op == "slo" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !s.lockEntry(w, r, "session", entry.lk) {
 			return
 		}
 		slo := entry.sess.SLO()
@@ -635,7 +626,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			Breakdown: breakdown,
 		})
 	case op == "shadow" && r.Method == http.MethodGet:
-		if !s.lockEntry(w, r, entry) {
+		if !s.lockEntry(w, r, "session", entry.lk) {
 			return
 		}
 		rep := entry.sess.ShadowReport()
@@ -657,7 +648,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 	case op == "record" && r.Method == http.MethodGet:
 		s.handleRecordDownload(w, r, id)
 	case op == "" && r.Method == http.MethodDelete:
-		if !s.lockEntry(w, r, entry) {
+		if !s.lockEntry(w, r, "session", entry.lk) {
 			return
 		}
 		sched, err := entry.sess.Close()
