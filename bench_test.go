@@ -15,6 +15,10 @@
 //
 // BenchmarkPoolChurn prices Pool.ServeBatch on the pool-churn traffic
 // shape (LRU eviction and revival on every batch).
+//
+// BenchmarkSessionServe/plain and /recorded price one Session.Serve
+// without and with the flight recorder; their difference is what
+// recording adds to a serve.
 package datacache_test
 
 import (
@@ -34,6 +38,7 @@ import (
 	"datacache/internal/offline"
 	"datacache/internal/online"
 	"datacache/internal/paging"
+	"datacache/internal/recorder"
 	"datacache/internal/service"
 	"datacache/internal/trajectory"
 	"datacache/internal/workload"
@@ -678,4 +683,83 @@ func TestPoolChurnAllocations(t *testing.T) {
 		t.Errorf("a pool-churn pass allocates %.2f objects per request, want at most 3", perReq)
 	}
 	t.Logf("%.2f allocations per request", perReq)
+}
+
+// BenchmarkSessionServe prices one Session.Serve on an m=16 SC session,
+// plain and with a binary flight recorder attached. The writer stays
+// open across the run and its close is not timed; a session is replaced
+// (untimed) every 4096 requests, so its length stays bounded.
+func BenchmarkSessionServe(b *testing.B) {
+	reqs := benchSequence(16, 4096, 1).Requests
+	for _, recorded := range []bool{false, true} {
+		name := "plain"
+		if recorded {
+			name = "recorded"
+		}
+		b.Run(name, func(b *testing.B) {
+			opts := &datacache.SessionOptions{}
+			if recorded {
+				w, err := recorder.NewWriter(recorder.Options{Dir: b.TempDir(), Source: "bench"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer w.Close()
+				opts.Recorder, opts.RecordSession = w, "bench"
+			}
+			var s *datacache.Session
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(reqs)
+				if j == 0 {
+					b.StopTimer()
+					if s != nil {
+						_, _ = s.Close()
+					}
+					var err error
+					if s, err = datacache.NewSession(16, 1, benchModel, opts); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := s.Serve(reqs[j].Server, reqs[j].Time); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+		})
+	}
+}
+
+// TestRecordedServeAllocations pins recording's allocation cost at zero:
+// a recorded Serve on a warm SC session, with a binary writer held open,
+// allocates nothing.
+func TestRecordedServeAllocations(t *testing.T) {
+	reqs := benchSequence(16, 3000, 1).Requests
+	w, err := recorder.NewWriter(recorder.Options{Dir: t.TempDir(), Source: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s, err := datacache.NewSession(16, 1, benchModel, &datacache.SessionOptions{Recorder: w, RecordSession: "sn-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	serve := func() {
+		r := reqs[next]
+		next++
+		if _, err := s.Serve(r.Server, r.Time); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for next < 1000 {
+		serve()
+	}
+	if allocs := testing.AllocsPerRun(1000, serve); allocs != 0 {
+		t.Errorf("a recorded Serve allocates %v objects, want 0", allocs)
+	}
+	if st := w.Stats(); st.Records != int64(next)+1 || st.Dropped != 0 {
+		t.Fatalf("writer stats %+v after %d serves", st, next)
+	}
 }

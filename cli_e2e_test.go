@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,9 +13,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
+	"datacache"
+	"datacache/internal/offline"
 	"datacache/internal/recorder"
 	"datacache/internal/service"
 	"datacache/internal/trace"
@@ -779,5 +783,98 @@ func TestCLIDctopRecorderLine(t *testing.T) {
 	out2, _ := run(t, bins["dctop"], nil, "-addr", plain.URL, "-once")
 	if strings.Contains(out2, "recorder ") {
 		t.Errorf("dctop frame shows a recorder line without a recorder:\n%s", out2)
+	}
+}
+
+// TestCLIDcservedSIGTERMClosesRecording serves Fig. 6 through a
+// recording dcserved process and stops it with SIGTERM, as a service
+// manager would. dcserved must exit 0 having closed its recording: all
+// seven serves on disk, no torn tail, and a bitwise replay.
+func TestCLIDcservedSIGTERMClosesRecording(t *testing.T) {
+	bins := buildTools(t, "dcserved")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	recDir := filepath.Join(t.TempDir(), "rec")
+	var stderr bytes.Buffer
+	cmd := exec.Command(bins["dcserved"], "-addr", addr, "-record-dir", recDir, "-history-interval", "0")
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		<-exited
+	})
+
+	base := "http://" + addr
+	for i := 0; ; i++ {
+		resp, err := http.Get(base + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if i == 100 {
+			t.Fatalf("dcserved never became healthy: %v\n%s", err, stderr.String())
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	post := func(path, body string, out any) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("POST %s: %d %s", path, resp.StatusCode, msg)
+		}
+		if out != nil {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	post("/v1/session", `{"m":4,"origin":1,"model":{"mu":1,"lambda":1}}`, &created)
+	seq, _ := offline.Fig6Instance()
+	for _, r := range seq.Requests {
+		post("/v1/session/"+created.ID+"/request", fmt.Sprintf(`{"server":%d,"time":%v}`, r.Server, r.Time), nil)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		exited <- err // for the cleanup
+		if err != nil {
+			t.Fatalf("dcserved exited with %v after SIGTERM, want status 0\n%s", err, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("dcserved still running 10s after SIGTERM\n%s", stderr.String())
+	}
+
+	recs, err := recorder.ReadPath(recDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Truncated || recs[0].ServeCount() != 7 {
+		t.Fatalf("recording: %d file(s), truncated=%v, %d serves; want 1 clean file of 7", len(recs), recs[0].Truncated, recs[0].ServeCount())
+	}
+	rep, err := datacache.Replay(recs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.BitwiseOK || rep.Records != 7 {
+		t.Fatalf("replay: bitwise=%v records=%d", rep.BitwiseOK, rep.Records)
 	}
 }

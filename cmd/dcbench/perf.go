@@ -129,7 +129,7 @@ func perfSweep(seed int64, n int) (*perfSnapshot, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(recDir)
-	if err := timeLoopN("session/serve_recorded", fmt.Sprintf("single item, m=%d, flight recorder attached (async binary WAL)", m), n, serveReps, func() error {
+	if err := timeLoopN("session/serve_recorded", fmt.Sprintf("single item, m=%d, flight recorder attached (binary WAL, synchronous writer)", m), n, serveReps, func() error {
 		w, err := recorder.NewWriter(recorder.Options{Dir: recDir, Source: "dcbench"})
 		if err != nil {
 			return err

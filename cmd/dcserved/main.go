@@ -46,6 +46,11 @@
 // (none|interval|always), -record-rotate-bytes/-record-rotate-age bound
 // individual files.
 //
+// SIGINT and SIGTERM shut dcserved down cleanly: it stops accepting
+// connections, waits up to 10 s for in-flight requests, closes the
+// flight recording (flushed and fsynced, so it replays without a torn
+// tail) and the span export, and exits 0.
+//
 // Every response carries an X-Request-Id header that also appears in the
 // structured log and in JSON error bodies, and a Traceparent header tying
 // it to the distributed trace (-trace-sample, -trace-regret, -span-cap,
@@ -54,12 +59,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"datacache/internal/obs"
@@ -68,7 +76,20 @@ import (
 	"datacache/internal/service"
 )
 
+// shutdownGrace bounds how long a signalled shutdown waits for
+// in-flight requests.
+const shutdownGrace = 10 * time.Second
+
 func main() {
+	if err := run(); err != nil {
+		os.Exit(1)
+	}
+}
+
+// run serves until SIGINT, SIGTERM or a listener error, and returns only
+// after every deferred cleanup ran. Startup failures still exit at once
+// via log.Fatalf, before anything has been recorded or exported.
+func run() error {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error")
@@ -97,7 +118,7 @@ func main() {
 	flag.Parse()
 	if *version {
 		fmt.Println("dcserved " + service.Version)
-		return
+		return nil
 	}
 
 	level, err := obs.ParseLevel(*logLevel)
@@ -186,9 +207,24 @@ func main() {
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
 	logger.Info("dcserved listening", "addr", *addr, "version", service.Version)
-	if err := srv.ListenAndServe(); err != nil {
+	select {
+	case err := <-served:
 		logger.Error("serve failed", "err", err)
-		os.Exit(1)
+		return err
+	case <-ctx.Done():
 	}
+	stop() // a second signal kills at once
+	logger.Info("shutting down", "grace", shutdownGrace)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		logger.Error("shutdown failed", "err", err)
+		return err
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Wire format (binary mode), all integers little-endian:
@@ -46,6 +47,10 @@ const (
 	// maxTraceID bounds the trace-id field (ids are 32 hex chars; the
 	// byte-length prefix allows up to 255).
 	maxTraceID = 255
+
+	// frameHeader is the bytes a binary frame spends before its payload:
+	// the kind and the u32 payload length.
+	frameHeader = 5
 )
 
 var magic = []byte{'D', 'C', 'R', 'E', 'C', 0}
@@ -69,7 +74,7 @@ func ValidMode(mode string) bool {
 }
 
 // Encoder writes records in either mode. It is the single canonical
-// stream serializer: the async Writer, the /record download endpoints
+// stream serializer: the Writer, the /record download endpoints
 // and the test helpers all encode through it. Not safe for concurrent
 // use.
 type Encoder struct {
@@ -121,10 +126,14 @@ func NewEncoder(w io.Writer, mode, source string) (*Encoder, error) {
 // Mode returns the encoding this encoder writes.
 func (e *Encoder) Mode() string { return e.mode }
 
-// Encode appends one record.
+// Encode appends one record. A binary frame is built whole in the
+// encoder's scratch buffer and written with one Write.
 func (e *Encoder) Encode(rec *Record) error {
 	if e.mode == ModeNDJSON {
-		line, err := json.Marshal(rec)
+		// Marshal a copy: handing rec itself to json would move every
+		// caller's record to the heap, binary mode included.
+		r := *rec
+		line, err := json.Marshal(&r)
 		if err != nil {
 			return err
 		}
@@ -133,25 +142,12 @@ func (e *Encoder) Encode(rec *Record) error {
 		}
 		return e.w.WriteByte('\n')
 	}
-	payload, err := e.marshalPayload(rec)
+	frame, err := appendFrame(e.buf[:0], rec)
 	if err != nil {
 		return err
 	}
-	var hdr [5]byte
-	hdr[0] = byte(rec.Kind)
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:1])
-	crc.Write(payload)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := e.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := e.w.Write(payload); err != nil {
-		return err
-	}
-	_, err = e.w.Write(sum[:])
+	e.buf = frame
+	_, err = e.w.Write(frame)
 	return err
 }
 
@@ -163,7 +159,11 @@ func (e *Encoder) Flush() error { return e.w.Flush() }
 // logical size (written + buffered), not just what reached the file.
 func (e *Encoder) Buffered() int { return e.w.Buffered() }
 
-func (e *Encoder) marshalPayload(rec *Record) ([]byte, error) {
+// appendFrame appends rec's binary frame to buf: kind, payload length,
+// payload and checksum.
+func appendFrame(buf []byte, rec *Record) ([]byte, error) {
+	buf = append(buf, byte(rec.Kind), 0, 0, 0, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, rec.Stream)
 	switch rec.Kind {
 	case KindOpen:
 		if rec.Info == nil {
@@ -173,17 +173,11 @@ func (e *Encoder) marshalPayload(rec *Record) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf := e.buf[:0]
-		buf = binary.LittleEndian.AppendUint32(buf, rec.Stream)
 		buf = append(buf, infoJSON...)
-		e.buf = buf
-		return buf, nil
 	case KindServe:
 		if len(rec.TraceID) > maxTraceID {
 			return nil, fmt.Errorf("recorder: trace id of %d bytes exceeds %d", len(rec.TraceID), maxTraceID)
 		}
-		buf := e.buf[:0]
-		buf = binary.LittleEndian.AppendUint32(buf, rec.Stream)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Time))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(rec.Server))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(rec.From))
@@ -197,21 +191,30 @@ func (e *Encoder) marshalPayload(rec *Record) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Optimal))
 		buf = append(buf, byte(len(rec.TraceID)))
 		buf = append(buf, rec.TraceID...)
-		e.buf = buf
-		return buf, nil
 	default:
 		return nil, fmt.Errorf("recorder: unknown record kind %d", rec.Kind)
 	}
+	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-frameHeader))
+	return binary.LittleEndian.AppendUint32(buf, frameCRC(buf)), nil
+}
+
+// frameCRC is a binary frame's checksum: CRC32-IEEE over its kind byte
+// and its payload, skipping the length field between them. frame holds
+// kind, length and payload in wire order.
+func frameCRC(frame []byte) uint32 {
+	crc := crc32.Update(0, crc32.IEEETable, frame[:1])
+	return crc32.Update(crc, crc32.IEEETable, frame[frameHeader:])
 }
 
 // Decoder reads one recording stream in either mode, yielding records
 // until io.EOF (clean end) or an ErrTornTail-wrapped error (truncated or
 // corrupt tail; every record before it is valid).
 type Decoder struct {
-	br   *bufio.Reader
-	mode string
-	meta FileMeta
-	line int // NDJSON line number, for diagnostics
+	br    *bufio.Reader
+	mode  string
+	meta  FileMeta
+	line  int    // NDJSON line number, for diagnostics
+	frame []byte // binary frame scratch, reused across Next calls
 }
 
 // NewDecoder sniffs the format (binary magic vs NDJSON header line) and
@@ -341,29 +344,26 @@ func (d *Decoder) nextBinary() (*Record, error) {
 	if kind != KindOpen && kind != KindServe {
 		return nil, fmt.Errorf("recorder: unknown frame kind %d: %w", kindB, ErrTornTail)
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(d.br, lenBuf[:]); err != nil {
+	d.frame = append(d.frame[:0], kindB, 0, 0, 0, 0)
+	if _, err := io.ReadFull(d.br, d.frame[1:frameHeader]); err != nil {
 		return nil, fmt.Errorf("recorder: short frame length: %w", ErrTornTail)
 	}
-	payloadLen := binary.LittleEndian.Uint32(lenBuf[:])
+	payloadLen := binary.LittleEndian.Uint32(d.frame[1:frameHeader])
 	if payloadLen > maxFramePayload {
 		return nil, fmt.Errorf("recorder: frame length %d exceeds %d: %w", payloadLen, maxFramePayload, ErrTornTail)
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(d.br, payload); err != nil {
+	d.frame = slices.Grow(d.frame, int(payloadLen))[:frameHeader+int(payloadLen)]
+	if _, err := io.ReadFull(d.br, d.frame[frameHeader:]); err != nil {
 		return nil, fmt.Errorf("recorder: short frame payload: %w", ErrTornTail)
 	}
 	var sumBuf [4]byte
 	if _, err := io.ReadFull(d.br, sumBuf[:]); err != nil {
 		return nil, fmt.Errorf("recorder: short frame checksum: %w", ErrTornTail)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{kindB})
-	crc.Write(payload)
-	if crc.Sum32() != binary.LittleEndian.Uint32(sumBuf[:]) {
+	if frameCRC(d.frame) != binary.LittleEndian.Uint32(sumBuf[:]) {
 		return nil, fmt.Errorf("recorder: frame checksum mismatch: %w", ErrTornTail)
 	}
-	return unmarshalPayload(kind, payload)
+	return unmarshalPayload(kind, d.frame[frameHeader:])
 }
 
 func unmarshalPayload(kind Kind, payload []byte) (*Record, error) {

@@ -21,9 +21,10 @@
 //     possible: floating-point re-summation is not associative, but
 //     re-executing the identical operation sequence is.
 //
-// Writes are buffered and asynchronous (Writer), with an explicit fsync
-// policy, crash-tolerant torn-tail recovery on read, and rotation by
-// size or age; rotation re-emits every live stream's open record (marked
+// The Writer encodes each record on the calling goroutine, under one
+// lock, into a buffered file, with an explicit fsync policy,
+// crash-tolerant torn-tail recovery on read, and rotation by size or
+// age; rotation re-emits every live stream's open record (marked
 // Resumed) so each file is self-contained. The binary format is
 // specified in DESIGN.md §12.
 package recorder

@@ -6,6 +6,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -299,29 +302,6 @@ func TestWriterRotationReEmitsStreams(t *testing.T) {
 	}
 }
 
-func TestWriterDropOnFull(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewWriter(Options{Dir: dir, Buffer: 1, DropOnFull: true, Source: "unit"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := w.OpenStream(StreamInfo{Session: "sn-2", M: 2, Origin: 1, Mu: 1, Lambda: 1})
-	// Hammer enough appends that some must shed against a 1-slot buffer;
-	// exact counts are scheduling-dependent, but drops+records must
-	// account for every append.
-	const n = 5000
-	for i := 0; i < n; i++ {
-		_ = w.Append(Record{Kind: KindServe, Stream: id, Time: float64(i + 1), Server: 1})
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	if st.Records+st.Dropped != n+1 { // +1 for the open record
-		t.Fatalf("records %d + dropped %d != %d", st.Records, st.Dropped, n+1)
-	}
-}
-
 func TestWriterSyncInterval(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(Options{Dir: dir, Sync: SyncInterval, SyncInterval: 10 * time.Millisecond, Source: "unit"})
@@ -429,5 +409,148 @@ func TestCloseStreamStopsReEmission(t *testing.T) {
 	}
 	if last.Streams[b] == nil {
 		t.Fatal("live stream not re-emitted after rotation")
+	}
+}
+
+// TestWriterFailedRotationKeepsRecording blocks the next file's path
+// with a directory, which fails the create even for root. Recording must
+// carry on in the current file: every serve stays readable, none is
+// dropped, and Close reports the failed create.
+func TestWriterFailedRotationKeepsRecording(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "dcrec-000002.wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWriter(Options{Dir: dir, RotateBytes: 2048, Source: "unit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := w.OpenStream(StreamInfo{Session: "sn-4", M: 2, Origin: 1, Mu: 1, Lambda: 1})
+	for i := 0; i < 200; i++ {
+		if err := w.Append(Record{Kind: KindServe, Stream: id, Time: float64(i + 1), Server: 1}); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close did not report the failed rotation")
+	}
+	if st := w.Stats(); st.Records != 201 || st.Dropped != 0 || st.Files != 1 {
+		t.Fatalf("stats = %+v, want 201 records, none dropped, 1 file", st)
+	}
+	recs, err := ReadPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Truncated {
+		t.Fatalf("read %d recordings, truncated=%v", len(recs), recs[0].Truncated)
+	}
+	if got := recs[0].ServeCount(); got != 200 {
+		t.Fatalf("file 1 holds %d serves, want all 200", got)
+	}
+}
+
+// TestWriterConcurrentHammer races every Writer entry point. Producers
+// open, append to and close their own streams under a small rotation
+// bound and a 1 ms fsync timer; another goroutine flushes, syncs and
+// reads the stats and file list; Close lands mid-traffic. Afterwards
+// each stream's serves read back in append order, every file declares
+// each stream whose serves it holds, and each open and append is
+// counted exactly once, as a record or as a drop.
+func TestWriterConcurrentHammer(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(Options{Dir: dir, Sync: SyncInterval, SyncInterval: time.Millisecond, RotateBytes: 1024, Source: "unit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const producers, streamsEach, appendsEach = 4, 6, 120
+	const calls = producers * streamsEach * (1 + appendsEach)
+	var made atomic.Int64 // opens and appends issued
+	var mu sync.Mutex
+	accepted := map[uint32]int{} // serves Append took, per stream
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for s := 0; s < streamsEach; s++ {
+				id := w.OpenStream(StreamInfo{Session: fmt.Sprintf("sn-%d-%d", p, s), M: 2, Origin: 1, Mu: 1, Lambda: 1})
+				made.Add(1)
+				n := 0
+				for i := 0; i < appendsEach; i++ {
+					if w.Append(Record{Kind: KindServe, Stream: id, Time: float64(i + 1), Server: 1}) == nil {
+						n++
+					}
+					made.Add(1)
+				}
+				w.CloseStream(id)
+				mu.Lock()
+				accepted[id] = n
+				mu.Unlock()
+			}
+		}(p)
+	}
+	stop := make(chan struct{})
+	var side sync.WaitGroup
+	side.Add(1)
+	go func() {
+		defer side.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = w.Flush()
+			_ = w.Sync()
+			_ = w.Stats()
+			_ = w.Files()
+		}
+	}()
+	for made.Load() < calls/2 {
+		runtime.Gosched()
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(stop)
+	side.Wait()
+
+	st := w.Stats()
+	if st.Records+st.Dropped != calls {
+		t.Fatalf("records %d + dropped %d != %d opens and appends", st.Records, st.Dropped, calls)
+	}
+	t.Logf("%d recorded, %d dropped after Close, %d files", st.Records, st.Dropped, st.Files)
+	recs, err := ReadPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serves := map[uint32]int{}
+	for _, rec := range recs {
+		if rec.Truncated {
+			t.Fatalf("%s truncated", rec.Path)
+		}
+		declared := map[uint32]bool{}
+		for _, r := range rec.Records {
+			if r.Kind == KindOpen {
+				declared[r.Stream] = true
+				continue
+			}
+			if !declared[r.Stream] {
+				t.Fatalf("%s holds a serve of stream %d before declaring it", rec.Path, r.Stream)
+			}
+			serves[r.Stream]++
+			if r.Time != float64(serves[r.Stream]) {
+				t.Fatalf("stream %d: serve %d reads back at time %v", r.Stream, serves[r.Stream], r.Time)
+			}
+		}
+	}
+	for id, n := range accepted {
+		if serves[id] != n {
+			t.Errorf("stream %d: %d serves read back, Append took %d", id, serves[id], n)
+		}
+	}
+	if len(serves) > len(accepted) {
+		t.Errorf("%d streams read back, %d opened", len(serves), len(accepted))
 	}
 }

@@ -1,9 +1,11 @@
 package recorder
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,17 +19,14 @@ const (
 	SyncNone = "none"
 	// SyncInterval fsyncs on a timer (Options.SyncInterval).
 	SyncInterval = "interval"
-	// SyncAlways fsyncs after every record (durable, slowest).
+	// SyncAlways fsyncs after every record, before the call that wrote
+	// it returns (durable, slowest).
 	SyncAlways = "always"
 )
 
 // DefaultSyncInterval is the SyncInterval timer period unless
 // Options.SyncInterval overrides it.
 const DefaultSyncInterval = time.Second
-
-// DefaultBuffer is the async append channel capacity unless
-// Options.Buffer overrides it.
-const DefaultBuffer = 1024
 
 // Options configures a Writer.
 type Options struct {
@@ -48,73 +47,53 @@ type Options struct {
 	// RotateAge starts a new file once the current one is this old
 	// (0 disables age rotation).
 	RotateAge time.Duration
-	// Buffer is the async append channel capacity (default
-	// DefaultBuffer).
-	Buffer int
-	// DropOnFull sheds records when the channel is full instead of
-	// blocking the serving path; drops are counted in Stats. The default
-	// (false) blocks, trading latency for completeness.
-	DropOnFull bool
 	// Source names the writing process in each file's header.
 	Source string
 }
 
 // Stats is a point-in-time writer readout, feeding the dc_recorder_*
-// gauges.
+// gauges. Reading it never waits on a write or an fsync.
 type Stats struct {
-	Records   int64  `json:"records"` // records durably handed to the encoder
+	Records   int64  `json:"records"` // records handed to the encoder
 	Bytes     int64  `json:"bytes"`   // bytes written across all files
 	Fsyncs    int64  `json:"fsyncs"`
-	Dropped   int64  `json:"dropped"` // records shed on backpressure or after close
+	Dropped   int64  `json:"dropped"` // records that failed to encode or arrived after close
 	Rotations int64  `json:"rotations"`
 	Files     int64  `json:"files"`
 	Mode      string `json:"mode"`
 }
 
-// wmsg is one message to the drain goroutine: exactly one field is set.
-type wmsg struct {
-	rec         *Record
-	closeStream uint32     // retire this stream from the rotation table
-	flush       chan error // flush buffered bytes to the OS
-	sync        chan error // flush + fsync
-	close       chan error // flush, fsync, close the file, exit
-}
+var errClosed = errors.New("recorder: writer is closed")
 
-// Writer is the asynchronous flight-recorder sink: Append enqueues onto
-// a buffered channel and a single drain goroutine owns the file, so the
-// serving path pays one channel send per decision. OpenStream and Append
-// may be called from any goroutine; Close must not race Append (callers
-// stop serving before closing, as cmd/dcserved does).
+// Writer is the flight-recorder sink. Every call encodes and writes on
+// the calling goroutine under one lock, so a record costs one encode
+// into the file buffer, and a stream's records land in the order its
+// owner made them. All methods are safe for concurrent use, Close
+// included: records arriving after Close are counted as dropped.
 type Writer struct {
-	opts   Options
-	ch     chan wmsg
-	closed atomic.Bool
-	done   chan struct{}
+	opts  Options
+	timer *time.Timer // SyncInterval's fsync timer; nil under other policies
 
-	nextStream atomic.Uint32
+	mu      sync.Mutex
+	cur     *file                 // the file being written
+	streams map[uint32]StreamInfo // live streams, re-emitted on rotation
+	lastID  uint32                // stream ids are minted in open order
+	paths   []string              // every file created, oldest first
+	err     error                 // first write error, reported by Close
 
-	// streams and order are owned by the drain goroutine: the table
-	// mutates exactly when the corresponding open/close message is
-	// processed, so rotation re-emission stays ordered with the records
-	// around it.
-	streams map[uint32]StreamInfo // live streams, for rotation re-emission
-	order   []uint32              // stream open order, for deterministic re-emission
-
-	mu    sync.Mutex
-	files []string
-
+	// Counters and the closed flag are atomic so Stats and Closed never
+	// wait for the lock.
+	closed    atomic.Bool
 	records   atomic.Int64
 	bytes     atomic.Int64
 	fsyncs    atomic.Int64
 	dropped   atomic.Int64
 	rotations atomic.Int64
-
-	errMu sync.Mutex
-	err   error // first write error, reported by Close
+	files     atomic.Int64
 }
 
-// NewWriter opens a recording writer: creates Dir, starts the first
-// file, and launches the drain goroutine.
+// NewWriter opens a recording writer: it creates Dir, starts the first
+// file and, under SyncInterval, arms the fsync timer.
 func NewWriter(opts Options) (*Writer, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("recorder: Options.Dir is required")
@@ -135,23 +114,20 @@ func NewWriter(opts Options) (*Writer, error) {
 	if opts.SyncInterval <= 0 {
 		opts.SyncInterval = DefaultSyncInterval
 	}
-	if opts.Buffer <= 0 {
-		opts.Buffer = DefaultBuffer
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recorder: creating %s: %w", opts.Dir, err)
 	}
-	w := &Writer{
-		opts:    opts,
-		ch:      make(chan wmsg, opts.Buffer),
-		done:    make(chan struct{}),
-		streams: map[uint32]StreamInfo{},
-	}
-	f, err := w.openFile(1)
-	if err != nil {
+	w := &Writer{opts: opts, streams: map[uint32]StreamInfo{}}
+	var err error
+	if w.cur, err = w.openFile(1); err != nil {
 		return nil, err
 	}
-	go w.drain(f)
+	if opts.Sync == SyncInterval {
+		// Under the lock, so the first tick sees the timer it re-arms.
+		w.mu.Lock()
+		w.timer = time.AfterFunc(opts.SyncInterval, w.syncTick)
+		w.mu.Unlock()
+	}
 	return w, nil
 }
 
@@ -166,16 +142,13 @@ func (w *Writer) Closed() bool { return w.closed.Load() }
 
 // Stats snapshots the writer's counters.
 func (w *Writer) Stats() Stats {
-	w.mu.Lock()
-	files := int64(len(w.files))
-	w.mu.Unlock()
 	return Stats{
 		Records:   w.records.Load(),
 		Bytes:     w.bytes.Load(),
 		Fsyncs:    w.fsyncs.Load(),
 		Dropped:   w.dropped.Load(),
 		Rotations: w.rotations.Load(),
-		Files:     files,
+		Files:     w.files.Load(),
 		Mode:      w.opts.Mode,
 	}
 }
@@ -184,139 +157,196 @@ func (w *Writer) Stats() Stats {
 func (w *Writer) Files() []string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return append([]string(nil), w.files...)
+	return slices.Clone(w.paths)
 }
 
-// OpenStream declares a new stream (one engine incarnation) and returns
-// its id. The open record is always enqueued blocking — opens are rare
-// and losing one would orphan every serve record of the stream. The
-// drain registers the stream for rotation re-emission when it processes
-// the record, keeping the table ordered with the surrounding records.
+// OpenStream declares a new stream (one engine incarnation), writes its
+// open record and returns its id. The stream joins the rotation table
+// before its open record is written, so an open that itself fills the
+// file is re-emitted at the head of the next one.
 func (w *Writer) OpenStream(info StreamInfo) uint32 {
-	id := w.nextStream.Add(1)
 	info.Resumed = false
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.lastID++
+	id := w.lastID
 	if w.closed.Load() {
 		w.dropped.Add(1)
 		return id
 	}
-	w.ch <- wmsg{rec: &Record{Kind: KindOpen, Stream: id, Info: &info}}
+	w.streams[id] = info
+	// A failed write is counted as dropped and reported by Close.
+	_ = w.write(&Record{Kind: KindOpen, Stream: id, Info: &info})
 	return id
 }
 
 // CloseStream retires a stream: later rotations stop re-emitting its
-// open record. Serve records already enqueued are unaffected — the
-// retirement is processed by the drain in order, after them.
+// open record.
 func (w *Writer) CloseStream(id uint32) {
-	if w.closed.Load() {
-		return
-	}
-	w.ch <- wmsg{closeStream: id}
+	w.mu.Lock()
+	delete(w.streams, id)
+	w.mu.Unlock()
 }
 
-// Append enqueues one serve record. Under DropOnFull a full channel
-// sheds the record (counted in Stats.Dropped) instead of blocking; a
-// closed writer always sheds.
+// Append writes one serve record. A closed writer drops it, as does a
+// failed encode; both count in Stats.Dropped.
 func (w *Writer) Append(rec Record) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed.Load() {
 		w.dropped.Add(1)
-		return fmt.Errorf("recorder: writer is closed")
+		return errClosed
 	}
-	msg := wmsg{rec: &rec}
-	if w.opts.DropOnFull {
-		select {
-		case w.ch <- msg:
-		default:
-			w.dropped.Add(1)
-			return fmt.Errorf("recorder: append buffer full, record dropped")
-		}
-		return nil
-	}
-	w.ch <- msg
-	return nil
+	return w.write(&rec)
 }
 
-// Flush blocks until every record enqueued before the call is handed to
-// the operating system (buffered bytes flushed, no fsync).
+// Flush hands every record written so far to the operating system
+// (buffered bytes flushed, no fsync).
 func (w *Writer) Flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed.Load() {
-		return fmt.Errorf("recorder: writer is closed")
+		return errClosed
 	}
-	ch := make(chan error, 1)
-	w.ch <- wmsg{flush: ch}
-	return <-ch
+	return w.cur.enc.Flush()
 }
 
 // Sync flushes and fsyncs the current file.
 func (w *Writer) Sync() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed.Load() {
-		return fmt.Errorf("recorder: writer is closed")
+		return errClosed
 	}
-	ch := make(chan error, 1)
-	w.ch <- wmsg{sync: ch}
-	return <-ch
+	return w.sync()
 }
 
-// Close flushes, fsyncs and closes the recording, then stops the drain
-// goroutine. Appends arriving after Close are shed and counted. Close
-// is idempotent; it returns the first write error the drain hit, if any.
+// Close flushes, fsyncs and closes the recording and stops the fsync
+// timer. It is idempotent, and returns the first write error the writer
+// hit, if any.
 func (w *Writer) Close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed.Swap(true) {
-		<-w.done
-		return w.firstErr()
+		return w.err
 	}
-	ch := make(chan error, 1)
-	w.ch <- wmsg{close: ch}
-	err := <-ch
-	<-w.done
-	if ferr := w.firstErr(); ferr != nil {
-		return ferr
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+	w.setErr(w.sync())
+	w.setErr(w.cur.f.Close())
+	return w.err
+}
+
+// syncTick is the SyncInterval timer: it fsyncs the current file and
+// re-arms until Close. It holds the lock across the fsync, once per
+// interval.
+func (w *Writer) syncTick() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed.Load() {
+		return
+	}
+	w.setErr(w.sync())
+	w.timer.Reset(w.opts.SyncInterval)
+}
+
+// write encodes one record into the current file, applies the fsync
+// policy and rotates when the file is full. The caller holds w.mu.
+func (w *Writer) write(rec *Record) error {
+	if err := w.cur.enc.Encode(rec); err != nil {
+		w.setErr(err)
+		w.dropped.Add(1)
+		return err
+	}
+	w.records.Add(1)
+	if w.opts.Sync == SyncAlways {
+		w.setErr(w.sync())
+	}
+	if w.shouldRotate() {
+		w.setErr(w.rotate())
+	}
+	return nil
+}
+
+// sync flushes and fsyncs the current file. The caller holds w.mu.
+func (w *Writer) sync() error {
+	if err := w.cur.enc.Flush(); err != nil {
+		return err
+	}
+	if err := w.cur.f.Sync(); err != nil {
+		return err
+	}
+	w.fsyncs.Add(1)
+	return nil
+}
+
+func (w *Writer) setErr(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+func (w *Writer) shouldRotate() bool {
+	// Logical file size: bytes already on disk plus bytes still sitting
+	// in the encoder's buffer.
+	if w.opts.RotateBytes > 0 && w.cur.size+int64(w.cur.enc.Buffered()) >= w.opts.RotateBytes {
+		return true
+	}
+	return w.opts.RotateAge > 0 && time.Since(w.cur.openedAt) >= w.opts.RotateAge
+}
+
+// rotate creates the next file, then finishes the current one, so a
+// failed create leaves recording on the current file (the next record
+// retries). The new file opens with every live stream's open record,
+// marked Resumed and in open order, so it replays on its own.
+func (w *Writer) rotate() error {
+	next, err := w.openFile(w.cur.seq + 1)
+	if err != nil {
+		return err
+	}
+	err = w.sync()
+	if cerr := w.cur.f.Close(); err == nil {
+		err = cerr
+	}
+	w.cur = next
+	w.rotations.Add(1)
+	ids := make([]uint32, 0, len(w.streams))
+	for id := range w.streams {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		info := w.streams[id]
+		info.Resumed = true
+		if eerr := next.enc.Encode(&Record{Kind: KindOpen, Stream: id, Info: &info}); eerr != nil {
+			return eerr
+		}
 	}
 	return err
 }
 
-func (w *Writer) setErr(err error) {
-	if err == nil {
-		return
-	}
-	w.errMu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.errMu.Unlock()
+// file is one recording file: the OS file, its encoder, and what
+// rotation checks. The encoder writes through it, counting bytes.
+type file struct {
+	w        *Writer
+	f        *os.File
+	enc      *Encoder
+	seq      int
+	size     int64 // bytes written to f
+	openedAt time.Time
 }
 
-func (w *Writer) firstErr() error {
-	w.errMu.Lock()
-	defer w.errMu.Unlock()
-	return w.err
-}
-
-// countingFile counts encoded bytes into the writer's totals and the
-// current file's size.
-type countingFile struct {
-	f    *os.File
-	w    *Writer
-	size int64
-}
-
-func (c *countingFile) Write(p []byte) (int, error) {
+func (c *file) Write(p []byte) (int, error) {
 	n, err := c.f.Write(p)
 	c.size += int64(n)
 	c.w.bytes.Add(int64(n))
 	return n, err
 }
 
-// openState is the drain goroutine's current file.
-type openState struct {
-	cf       *countingFile
-	enc      *Encoder
-	seq      int
-	openedAt time.Time
-}
-
 // openFile starts recording file seq: creates it, writes the header and
 // registers the path.
-func (w *Writer) openFile(seq int) (*openState, error) {
+func (w *Writer) openFile(seq int) (*file, error) {
 	ext := "wal"
 	if w.opts.Mode == ModeNDJSON {
 		ext = "ndjson"
@@ -326,136 +356,12 @@ func (w *Writer) openFile(seq int) (*openState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recorder: creating %s: %w", path, err)
 	}
-	cf := &countingFile{f: f, w: w}
-	enc, err := NewEncoder(cf, w.opts.Mode, w.opts.Source)
-	if err != nil {
+	c := &file{w: w, f: f, seq: seq, openedAt: time.Now()}
+	if c.enc, err = NewEncoder(c, w.opts.Mode, w.opts.Source); err != nil {
 		f.Close()
 		return nil, err
 	}
-	w.mu.Lock()
-	w.files = append(w.files, path)
-	w.mu.Unlock()
-	return &openState{cf: cf, enc: enc, seq: seq, openedAt: time.Now()}, nil
-}
-
-// drain is the single goroutine that owns the recording file.
-func (w *Writer) drain(st *openState) {
-	defer close(w.done)
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if w.opts.Sync == SyncInterval {
-		ticker = time.NewTicker(w.opts.SyncInterval)
-		tick = ticker.C
-		defer ticker.Stop()
-	}
-	flushSync := func() error {
-		if err := st.enc.Flush(); err != nil {
-			return err
-		}
-		if err := st.cf.f.Sync(); err != nil {
-			return err
-		}
-		w.fsyncs.Add(1)
-		return nil
-	}
-	for {
-		select {
-		case msg := <-w.ch:
-			switch {
-			case msg.rec != nil:
-				if err := st.enc.Encode(msg.rec); err != nil {
-					w.setErr(err)
-					w.dropped.Add(1)
-					continue
-				}
-				w.records.Add(1)
-				if msg.rec.Kind == KindOpen {
-					w.streams[msg.rec.Stream] = *msg.rec.Info
-					w.order = append(w.order, msg.rec.Stream)
-				}
-				if w.opts.Sync == SyncAlways {
-					if err := flushSync(); err != nil {
-						w.setErr(err)
-					}
-				}
-				if w.shouldRotate(st) {
-					next, err := w.rotate(st)
-					if err != nil {
-						w.setErr(err)
-						continue // keep writing the old file rather than lose records
-					}
-					st = next
-				}
-			case msg.closeStream != 0:
-				if _, ok := w.streams[msg.closeStream]; ok {
-					delete(w.streams, msg.closeStream)
-					for i, sid := range w.order {
-						if sid == msg.closeStream {
-							w.order = append(w.order[:i], w.order[i+1:]...)
-							break
-						}
-					}
-				}
-			case msg.flush != nil:
-				msg.flush <- st.enc.Flush()
-			case msg.sync != nil:
-				msg.sync <- flushSync()
-			case msg.close != nil:
-				err := flushSync()
-				if cerr := st.cf.f.Close(); err == nil {
-					err = cerr
-				}
-				msg.close <- err
-				return
-			}
-		case <-tick:
-			if err := flushSync(); err != nil {
-				w.setErr(err)
-			}
-		}
-	}
-}
-
-func (w *Writer) shouldRotate(st *openState) bool {
-	// Logical file size: bytes already on disk plus bytes still sitting
-	// in the encoder's buffer.
-	if w.opts.RotateBytes > 0 && st.cf.size+int64(st.enc.Buffered()) >= w.opts.RotateBytes {
-		return true
-	}
-	if w.opts.RotateAge > 0 && time.Since(st.openedAt) >= w.opts.RotateAge {
-		return true
-	}
-	return false
-}
-
-// rotate finishes the current file and starts the next, re-emitting
-// every live stream's open record (marked Resumed) so the new file is
-// self-contained.
-func (w *Writer) rotate(st *openState) (*openState, error) {
-	if err := st.enc.Flush(); err != nil {
-		return nil, err
-	}
-	if err := st.cf.f.Sync(); err != nil {
-		return nil, err
-	}
-	w.fsyncs.Add(1)
-	if err := st.cf.f.Close(); err != nil {
-		return nil, err
-	}
-	next, err := w.openFile(st.seq + 1)
-	if err != nil {
-		return nil, err
-	}
-	w.rotations.Add(1)
-	// Runs on the drain goroutine, which owns the stream table.
-	for _, id := range w.order {
-		info := w.streams[id]
-		info.Resumed = true
-		rec := Record{Kind: KindOpen, Stream: id, Info: &info}
-		if err := next.enc.Encode(&rec); err != nil {
-			w.setErr(err)
-			break
-		}
-	}
-	return next, nil
+	w.paths = append(w.paths, path)
+	w.files.Add(1)
+	return c, nil
 }

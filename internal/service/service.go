@@ -282,7 +282,8 @@ func WithShadowMargin(margin float64) Option {
 // picture, trace id) through it, GET /v1/session/{id}/record and
 // GET /v1/pool/{id}/record download the entries, and /metrics carries
 // the dc_recorder_* writer gauges. The caller owns the writer's
-// lifecycle (cmd/dcserved closes it on shutdown).
+// lifecycle: cmd/dcserved closes it after a SIGINT or SIGTERM shutdown
+// has drained in-flight requests.
 func WithRecorder(w *recorder.Writer) Option {
 	return func(s *Server) { s.recorder = w }
 }
@@ -460,7 +461,7 @@ func New(opts ...Option) *Server {
 		s.recFsyncs = s.reg.GaugeVec("dc_recorder_fsyncs",
 			"Fsyncs the flight recorder has issued (per its sync policy).", "mode")
 		s.recDropped = s.reg.GaugeVec("dc_recorder_dropped",
-			"Records the flight recorder shed on backpressure or after close.", "mode")
+			"Records the flight recorder dropped: failed to encode or arrived after close.", "mode")
 		s.recRotations = s.reg.GaugeVec("dc_recorder_rotations",
 			"Recording-file rotations (size or age bound reached).", "mode")
 		s.recFiles = s.reg.GaugeVec("dc_recorder_files",

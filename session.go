@@ -108,8 +108,8 @@ type SessionOptions struct {
 	// Recorder, when set, captures every served request to the flight
 	// recorder: NewSession opens a stream (declaring the instance and
 	// policy), each Serve appends one serve record, and Close retires the
-	// stream. Recording is fire-and-forget — recorder backpressure or
-	// errors never fail the serving path.
+	// stream. Each record is encoded on the serving goroutine; a
+	// recorder error never fails the serve (the writer counts the drop).
 	Recorder *recorder.Writer
 	// RecordSession labels the recorder stream with the serving-layer
 	// session id ("sn-3", "pl-1"); RecordTenant and RecordItem scope pool
@@ -385,7 +385,8 @@ func (s *Session) Serve(server ServerID, t float64) (Decision, error) {
 	}
 	s.prevCost, s.prevOpt = d.Cost, d.Optimal
 	if s.rec != nil {
-		// Fire-and-forget: recorder backpressure must not fail serving.
+		// A failed or post-close record is counted by the writer; it
+		// must not fail the serve.
 		_ = s.rec.Append(recorder.Record{
 			Kind:    recorder.KindServe,
 			Stream:  s.recStream,
