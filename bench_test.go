@@ -19,6 +19,10 @@
 // BenchmarkSessionServe/plain and /recorded price one Session.Serve
 // without and with the flight recorder; their difference is what
 // recording adds to a serve.
+//
+// BenchmarkHybridServe/cycle and /zipf price one hybrid Session.Serve on
+// traffic the planner replans on nearly every request, and on traffic it
+// never plans.
 package datacache_test
 
 import (
@@ -761,5 +765,84 @@ func TestRecordedServeAllocations(t *testing.T) {
 	}
 	if st := w.Stats(); st.Records != int64(next)+1 || st.Dropped != 0 {
 		t.Fatalf("writer stats %+v after %d serves", st, next)
+	}
+}
+
+// BenchmarkHybridServe prices one Session.Serve under
+// hybrid:horizon=8,order=2 and reports the plans it built per serve: on
+// an m=8 cycle the planner replans on nearly every request, on m=16 Zipf
+// traffic its confidence gate stays closed. A session is replaced
+// (untimed) every 4096 requests.
+func BenchmarkHybridServe(b *testing.B) {
+	cycle := &model.Sequence{M: 8, Origin: 1}
+	for i := 0; i < 4096; i++ {
+		cycle.Requests = append(cycle.Requests, model.Request{Server: model.ServerID(i%8 + 1), Time: float64(i + 1)})
+	}
+	for _, tr := range []struct {
+		name string
+		seq  *model.Sequence
+	}{{"cycle", cycle}, {"zipf", benchSequence(16, 4096, 1)}} {
+		b.Run(tr.name, func(b *testing.B) {
+			reqs := tr.seq.Requests
+			opts := &datacache.SessionOptions{Policy: "hybrid:horizon=8,order=2"}
+			var s *datacache.Session
+			plans := 0
+			closeSession := func() {
+				if s != nil {
+					st, _ := s.PlannerStats()
+					plans += st.Plans
+					_, _ = s.Close()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(reqs)
+				if j == 0 {
+					b.StopTimer()
+					closeSession()
+					var err error
+					if s, err = datacache.NewSession(tr.seq.M, tr.seq.Origin, benchModel, opts); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := s.Serve(reqs[j].Server, reqs[j].Time); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			closeSession()
+			b.ReportMetric(float64(plans)/float64(b.N), "plans/op")
+		})
+	}
+}
+
+// TestHybridServeAllocations pins the hybrid's cost on traffic it does
+// not plan: on a warm m=16 session serving Zipf traffic the confidence
+// gate stays closed, and a Serve allocates nothing (the predictor builds
+// its context keys on the stack).
+func TestHybridServeAllocations(t *testing.T) {
+	reqs := benchSequence(16, 5000, 1).Requests
+	s, err := datacache.NewSession(16, 1, benchModel, &datacache.SessionOptions{Policy: "hybrid:horizon=8,order=2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	serve := func() {
+		r := reqs[next]
+		next++
+		if _, err := s.Serve(r.Server, r.Time); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for next < 3000 {
+		serve()
+	}
+	if allocs := testing.AllocsPerRun(1000, serve); allocs != 0 {
+		t.Errorf("a hybrid Serve allocates %v objects, want 0", allocs)
+	}
+	if st, _ := s.PlannerStats(); st.Plans != 0 {
+		t.Fatalf("the planner planned %d times on Zipf traffic; the test needs its gate closed", st.Plans)
 	}
 }

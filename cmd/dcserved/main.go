@@ -15,11 +15,6 @@
 //	POST /v1/generate                 {workload, m, n, seed, gap?} → sequence
 //	POST /v1/plan                     {m, model, events, online?} → per-item catalog plan, online billed under a policy spec
 //	GET  /v1/policies                 the policy kinds every policy spec field accepts
-//	POST /v1/stream                   {m, origin, model} → incremental planning stream
-//	POST /v1/stream/{id}/append       {server, time} → updated optimum in O(m)
-//	GET  /v1/stream/{id}              stream state
-//	GET  /v1/stream/{id}/schedule     optimal schedule for the streamed prefix
-//	DELETE /v1/stream/{id}            drop the stream
 //	POST /v1/session                  {m, origin, model, policy?, shadows?} → live serving session (201 + Location); policy and shadows are policy specs ("sc", "ttl:window=0.5", "hybrid:horizon=8,order=2", ...)
 //	POST /v1/session/{id}/request     {server, time} → decision + running cost/optimum/ratio
 //	POST /v1/session/{id}/requests    {requests: [{server, t}]} or NDJSON lines → bulk decisions + post-batch snapshot
@@ -37,7 +32,8 @@
 //	GET  /v1/pool/{id}/record         download the pool's flight recording (404 without -record-dir)
 //	GET  /readyz                      readiness (degraded while any alert is firing)
 //
-// Any other path answers 404 inside the JSON error envelope.
+// Any other path, the /v1/stream routes retired in 1.12.0 included,
+// answers 404 inside the JSON error envelope.
 //
 // With -record-dir set, every served request is appended to an
 // append-only flight recording (binary WAL or NDJSON via -record-mode)

@@ -106,8 +106,8 @@ func renderFrame(ctx context.Context, cl *client.Client, session, pool string, h
 	var b strings.Builder
 	fmt.Fprintf(&b, "dctop — datacache live console    server %s    %s\n",
 		serverVersion, time.Now().Format("15:04:05"))
-	fmt.Fprintf(&b, "sessions open: %.0f    streams open: %.0f    pools open: %.0f\n",
-		samples["dc_sessions_open"], samples["dc_streams_open"], samples["dc_pools_open"])
+	fmt.Fprintf(&b, "sessions open: %.0f    pools open: %.0f\n",
+		samples["dc_sessions_open"], samples["dc_pools_open"])
 	writeRecorderLine(&b, samples)
 
 	alerts, err := cl.Alerts(ctx)

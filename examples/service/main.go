@@ -1,7 +1,7 @@
 // Service: drive the HTTP planning service end to end as a client — start
 // it in-process, generate a workload through the API, optimize it, simulate
-// the online policy against it, and stream requests into an incremental
-// planning session whose optimum updates live.
+// the online policy against it, and serve requests through a live session
+// whose every reply carries the online cost and the optimum so far.
 //
 //	go run ./examples/service
 package main
@@ -48,17 +48,18 @@ func main() {
 	}, &sim)
 	fmt.Printf("online %s: cost %.2f, ratio %.3f (bound 3)\n", sim.Policy, sim.Cost, sim.Ratio)
 
-	// 4. Stream the first 10 requests into an incremental planning session.
-	var st service.StreamState
-	post(ts.URL+"/v1/stream", map[string]interface{}{
-		"m": seq.M, "origin": 1, "model": map[string]float64{"mu": 1, "lambda": 2},
+	// 4. Serve the first 10 requests through a live session.
+	var st service.SessionState
+	post(ts.URL+"/v1/session", service.SessionCreateRequest{
+		M: seq.M, Origin: 1, Model: service.CostModelDTO{Mu: 1, Lambda: 2},
 	}, &st)
 	for i := 0; i < 10 && i < seq.N(); i++ {
-		post(ts.URL+"/v1/stream/"+st.ID+"/append", service.StreamAppendRequest{
+		var d service.SessionDecision
+		post(ts.URL+"/v1/session/"+st.ID+"/request", service.StreamAppendRequest{
 			Server: seq.Requests[i].Server,
 			Time:   seq.Requests[i].Time,
-		}, &st)
-		fmt.Printf("  after request %2d: optimum so far %.3f\n", st.N, st.Cost)
+		}, &d)
+		fmt.Printf("  after request %2d: online cost %.3f, optimum so far %.3f\n", d.N, d.Cost, d.Optimal)
 	}
 }
 

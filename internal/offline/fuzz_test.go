@@ -32,8 +32,10 @@ func decodeInstance(data []byte) (*model.Sequence, model.CostModel) {
 }
 
 // FuzzDPAgreement cross-checks all four solvers and the reconstruction on
-// arbitrary decoded instances. Run with `go test -fuzz=FuzzDPAgreement`;
-// in normal test runs it exercises the seed corpus.
+// arbitrary decoded instances, and requires the streaming DP's cost after
+// every append to equal FastDP's C[i] bit for bit. Run with
+// `go test -fuzz=FuzzDPAgreement`; in normal test runs it exercises the
+// seed corpus.
 func FuzzDPAgreement(f *testing.F) {
 	f.Add([]byte{3, 10, 10, 0, 1, 50, 2, 120, 0, 10, 1, 255, 2, 3})
 	f.Add([]byte{1, 1, 39, 0, 0, 0, 0, 0})
@@ -49,6 +51,18 @@ func FuzzDPAgreement(f *testing.F) {
 		fast, err := FastDP(seq, cm)
 		if err != nil {
 			t.Fatal(err)
+		}
+		inc, err := NewIncremental(seq.M, seq.Origin, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range seq.Requests {
+			if err := inc.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(inc.Cost()) != math.Float64bits(fast.C[i+1]) {
+				t.Fatalf("prefix %d: streaming %v != FastDP C %v\nseq=%+v cm=%+v", i+1, inc.Cost(), fast.C[i+1], seq, cm)
+			}
 		}
 		naive, err := NaiveDP(seq, cm)
 		if err != nil {

@@ -10,22 +10,16 @@ import (
 // Incremental is the streaming form of the O(mn) dynamic program: requests
 // are appended one at a time and each append updates the optimum in O(m)
 // amortized time — the recurrences (2) and (5) are forward-only, so the
-// batch algorithm's sweep maps directly onto a stream. A service extending
-// its predicted horizon re-plans each extension at constant-per-server
-// cost instead of re-running the batch solver.
-//
-// After any number of appends, Cost returns C(n) for the requests so far;
-// Result materializes a full *Result (sharing no state), from which the
-// optimal schedule for the current prefix can be reconstructed.
+// batch algorithm's sweep maps directly onto a stream. It is the live
+// optimum readout of sessions, pool items and replay: after any number of
+// appends, Cost returns C(n) for the requests so far, bit for bit FastDP's
+// C[n] on the same prefix. It keeps no decision trail; a caller that wants
+// a prefix's optimal schedule runs FastDP on it.
 type Incremental struct {
 	seq *model.Sequence
 	cm  model.CostModel
 
 	c, d, b []float64 // C, D, B vectors, index 0 = boundary
-	cBr     []branch
-	dBr     []branch
-	dPv     []int
-	prev    []int
 
 	lastOn []int // per server: index of the most recent request (0/NoPrev boundary)
 	next   []int // successor on the same server, -1 while none
@@ -59,10 +53,6 @@ func (inc *Incremental) Reset() {
 	inc.c = append(inc.c[:0], 0)
 	inc.d = append(inc.d[:0], 0) // boundary entry, matching newResult's D[0]
 	inc.b = append(inc.b[:0], 0)
-	inc.cBr = append(inc.cBr[:0], branchNone)
-	inc.dBr = append(inc.dBr[:0], branchNone)
-	inc.dPv = append(inc.dPv[:0], 0)
-	inc.prev = append(inc.prev[:0], 0)
 	inc.next = append(inc.next[:0], -1)
 	for j := 1; j < len(inc.lastOn); j++ {
 		inc.lastOn[j] = model.NoPrev
@@ -98,7 +88,6 @@ func (inc *Incremental) Append(r model.Request) error {
 
 	// Predecessor bookkeeping.
 	p := inc.lastOn[r.Server]
-	inc.prev = append(inc.prev, p)
 	inc.next = append(inc.next, -1)
 	if p >= 0 {
 		inc.next[p] = i
@@ -116,18 +105,17 @@ func (inc *Incremental) Append(r model.Request) error {
 	inc.b = append(inc.b, inc.b[i-1]+bi)
 
 	// D(i) per Recurrence (5), candidates per Theorem 2.
-	dVal, dBr, dPv := math.Inf(1), branchNone, 0
+	dVal := math.Inf(1)
 	if p != model.NoPrev {
 		sigma := r.Time - inc.timeOf(p)
 		base := inc.cm.Mu*sigma + inc.b[i-1]
 		dVal = inc.c[p] + base - inc.b[p]
-		dBr = dBranchBoundary
 		consider := func(k int) {
 			if k < 1 {
 				return
 			}
 			if v := inc.d[k] + base - inc.b[k]; v < dVal {
-				dVal, dBr, dPv = v, dBranchPivot, k
+				dVal = v
 			}
 		}
 		consider(p)
@@ -146,17 +134,13 @@ func (inc *Incremental) Append(r model.Request) error {
 		}
 	}
 	inc.d = append(inc.d, dVal)
-	inc.dBr = append(inc.dBr, dBr)
-	inc.dPv = append(inc.dPv, dPv)
 
 	// C(i) per Recurrence (2), cache branch preferred on ties.
 	viaTransfer := inc.c[i-1] + inc.cm.Mu*(r.Time-inc.timeOf(i-1)) + inc.cm.Lambda
 	if dVal <= viaTransfer {
 		inc.c = append(inc.c, dVal)
-		inc.cBr = append(inc.cBr, branchCache)
 	} else {
 		inc.c = append(inc.c, viaTransfer)
-		inc.cBr = append(inc.cBr, branchTransfer)
 	}
 	return nil
 }
@@ -166,21 +150,4 @@ func (inc *Incremental) timeOf(i int) float64 {
 		return 0
 	}
 	return inc.seq.Requests[i-1].Time
-}
-
-// Result materializes the current prefix as a batch Result (deep copies, so
-// further appends do not disturb it). Its Schedule method reconstructs the
-// optimal schedule for the prefix.
-func (inc *Incremental) Result() *Result {
-	return &Result{
-		Seq:     inc.seq.Clone(),
-		Model:   inc.cm,
-		C:       append([]float64(nil), inc.c...),
-		D:       append([]float64(nil), inc.d...),
-		B:       append([]float64(nil), inc.b...),
-		cBranch: append([]branch(nil), inc.cBr...),
-		dBranch: append([]branch(nil), inc.dBr...),
-		dPivot:  append([]int(nil), inc.dPv...),
-		prev:    append([]int(nil), inc.prev...),
-	}
 }

@@ -1,6 +1,6 @@
 // Package planner closes the paper's online/offline loop inside the live
 // server: a rolling-horizon hybrid decider feeds the order-k Markov
-// trajectory predictor into the incremental offline dynamic program over
+// trajectory predictor into the offline dynamic program (FastDP) over
 // the predicted next-K requests, executes the DP's holding plan while the
 // predictions keep coming true, and falls back to the online Speculative
 // Caching rules the moment they stop.
@@ -86,6 +86,7 @@ type Hybrid struct {
 	pred    *trajectory.Predictor
 	recent  []model.ServerID // last Order visits, predictor context
 	scratch []model.ServerID // iterated-prediction context buffer
+	planSeq model.Sequence   // predicted requests of the current replan
 
 	defaultWindow float64
 	now           float64 // current event time, read by windowOf
@@ -271,37 +272,41 @@ func (h *Hybrid) windowOf(server model.ServerID) float64 {
 // replan rebuilds the rolling-horizon plan after a request at (server, t):
 // iterate the Markov predictor Horizon steps ahead (feeding predictions
 // back as context), space the predicted requests by the EWMA arrival gap,
-// run the exact offline DP over that sequence from a copy at the
-// just-served server, and read each server's hold-until instant off the
-// optimal schedule's caching intervals.
+// run FastDP over that sequence from a copy at the just-served server,
+// and read each server's hold-until instant off the optimal schedule's
+// caching intervals.
 func (h *Hybrid) replan(server model.ServerID, t float64) {
 	h.clearPlan()
 	if !h.gateOpen() || h.gapEWMA <= 0 {
 		return
 	}
-	inc, err := offline.NewIncremental(h.st.M, server, h.st.Model)
-	if err != nil {
-		return
-	}
 	h.scratch = append(h.scratch[:0], h.recent...)
-	depth := 0
+	seq := &h.planSeq
+	seq.M, seq.Origin, seq.Requests = h.st.M, server, seq.Requests[:0]
 	rel := 0.0
 	for i := 0; i < h.horizon(); i++ {
 		next := h.pred.Predict(h.scratch)
 		if next < 1 || int(next) > h.st.M {
 			break
 		}
-		rel += h.gapEWMA
-		if err := inc.Append(model.Request{Server: next, Time: rel}); err != nil {
+		// FastDP rejects the whole sequence on one invalid request, so the
+		// prediction stops at the first time that does not increase.
+		at := rel + h.gapEWMA
+		if at <= rel || math.IsInf(at, 0) {
 			break
 		}
+		rel = at
+		seq.Requests = append(seq.Requests, model.Request{Server: next, Time: rel})
 		h.scratch = appendContext(h.scratch, next, h.order())
-		depth++
 	}
-	if depth == 0 {
+	if seq.N() == 0 {
 		return
 	}
-	sched, err := inc.Result().Schedule()
+	res, err := offline.FastDP(seq, h.st.Model)
+	if err != nil {
+		return
+	}
+	sched, err := res.Schedule()
 	if err != nil {
 		return
 	}
@@ -324,7 +329,7 @@ func (h *Hybrid) replan(server model.ServerID, t float64) {
 			h.keepUntil[ci.Server] = ku
 		}
 	}
-	h.planDepth = depth
+	h.planDepth = seq.N()
 	h.plans++
 	h.planActive = true
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -446,6 +447,80 @@ func TestWriterFailedRotationKeepsRecording(t *testing.T) {
 	}
 	if got := recs[0].ServeCount(); got != 200 {
 		t.Fatalf("file 1 holds %d serves, want all 200", got)
+	}
+}
+
+// TestWriterRotationRetryIsBounded: while the next file cannot be
+// created, records keep landing in the current one without retrying the
+// create on every record; once the path frees up, the retry after
+// another RotateBytes opens file 2 and the serves replay in order across
+// both files.
+func TestWriterRotationRetryIsBounded(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "dcrec-000002.wal")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const rotate = 2048
+	w, err := NewWriter(Options{Dir: dir, RotateBytes: rotate, Source: "unit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := w.OpenStream(StreamInfo{Session: "sn-5", M: 2, Origin: 1, Mu: 1, Lambda: 1})
+	n := 0
+	appendOne := func() {
+		n++
+		if err := w.Append(Record{Kind: KindServe, Stream: id, Time: float64(n), Server: 1}); err != nil {
+			t.Fatalf("append %d: %v", n, err)
+		}
+	}
+	for w.err == nil { // up to the first failed rotation
+		appendOne()
+	}
+	// 21 more records stay well under another RotateBytes, so none of
+	// them retries the create.
+	if allocs := testing.AllocsPerRun(20, appendOne); allocs != 0 {
+		t.Errorf("an Append past a failed rotation allocates %v objects, want 0", allocs)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	for start := w.cur.logicalSize(); w.Stats().Files == 1; {
+		if w.cur.logicalSize()-start > rotate {
+			t.Fatalf("no rotation after another %d bytes", rotate)
+		}
+		appendOne()
+	}
+	for i := 0; i < 10; i++ {
+		appendOne()
+	}
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "dcrec-000002.wal") {
+		t.Fatalf("Close = %v, want the first failed rotation", err)
+	}
+	recs, err := ReadPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("read %d files, want 2", len(recs))
+	}
+	next := 1
+	for _, rec := range recs {
+		if rec.Truncated || rec.Streams[id] == nil {
+			t.Fatalf("%s: truncated=%v, stream declared=%v", rec.Path, rec.Truncated, rec.Streams[id] != nil)
+		}
+		for _, r := range rec.Records {
+			if r.Kind != KindServe {
+				continue
+			}
+			if r.Time != float64(next) {
+				t.Fatalf("%s: serve at %v, want %d", rec.Path, r.Time, next)
+			}
+			next++
+		}
+	}
+	if next-1 != n {
+		t.Fatalf("replayed %d serves, appended %d", next-1, n)
 	}
 }
 

@@ -288,21 +288,22 @@ func (w *Writer) setErr(err error) {
 }
 
 func (w *Writer) shouldRotate() bool {
-	// Logical file size: bytes already on disk plus bytes still sitting
-	// in the encoder's buffer.
-	if w.opts.RotateBytes > 0 && w.cur.size+int64(w.cur.enc.Buffered()) >= w.opts.RotateBytes {
+	if w.opts.RotateBytes > 0 && w.cur.logicalSize() >= w.cur.rotateSize {
 		return true
 	}
-	return w.opts.RotateAge > 0 && time.Since(w.cur.openedAt) >= w.opts.RotateAge
+	return w.opts.RotateAge > 0 && !time.Now().Before(w.cur.rotateAt)
 }
 
 // rotate creates the next file, then finishes the current one, so a
-// failed create leaves recording on the current file (the next record
-// retries). The new file opens with every live stream's open record,
-// marked Resumed and in open order, so it replays on its own.
+// failed create leaves recording on the current file; it retries once
+// another RotateBytes or RotateAge has gone by, not on every record. The
+// new file opens with every live stream's open record, marked Resumed
+// and in open order, so it replays on its own.
 func (w *Writer) rotate() error {
 	next, err := w.openFile(w.cur.seq + 1)
 	if err != nil {
+		w.cur.rotateSize = w.cur.logicalSize() + w.opts.RotateBytes
+		w.cur.rotateAt = time.Now().Add(w.opts.RotateAge)
 		return err
 	}
 	err = w.sync()
@@ -329,13 +330,18 @@ func (w *Writer) rotate() error {
 // file is one recording file: the OS file, its encoder, and what
 // rotation checks. The encoder writes through it, counting bytes.
 type file struct {
-	w        *Writer
-	f        *os.File
-	enc      *Encoder
-	seq      int
-	size     int64 // bytes written to f
-	openedAt time.Time
+	w    *Writer
+	f    *os.File
+	enc  *Encoder
+	seq  int
+	size int64 // bytes written to f
+	// Rotation thresholds, moved forward by a failed rotation.
+	rotateSize int64
+	rotateAt   time.Time
 }
+
+// logicalSize counts the bytes still in the encoder's buffer too.
+func (c *file) logicalSize() int64 { return c.size + int64(c.enc.Buffered()) }
 
 func (c *file) Write(p []byte) (int, error) {
 	n, err := c.f.Write(p)
@@ -356,7 +362,7 @@ func (w *Writer) openFile(seq int) (*file, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recorder: creating %s: %w", path, err)
 	}
-	c := &file{w: w, f: f, seq: seq, openedAt: time.Now()}
+	c := &file{w: w, f: f, seq: seq, rotateSize: w.opts.RotateBytes, rotateAt: time.Now().Add(w.opts.RotateAge)}
 	if c.enc, err = NewEncoder(c, w.opts.Mode, w.opts.Source); err != nil {
 		f.Close()
 		return nil, err

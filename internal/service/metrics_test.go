@@ -461,14 +461,20 @@ func TestErrorEnvelopeAcrossRoutes(t *testing.T) {
 		{"unknown session", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v1/session/nope")
 		}, http.StatusNotFound, CodeNotFound},
+		// /v1/stream was retired in 1.12.0; its paths fall through to
+		// the catch-all.
 		{"unknown stream", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v1/stream/nope")
+		}, http.StatusNotFound, CodeNotFound},
+		{"retired stream create", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/v1/stream", "application/json",
+				strings.NewReader(`{"m":4,"origin":1,"model":{"mu":1,"lambda":1}}`))
 		}, http.StatusNotFound, CodeNotFound},
 		{"bad optimize body", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(`{"nonsense": 1}`))
 		}, http.StatusBadRequest, CodeBadRequest},
-		{"wrong verb on stream create", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/v1/stream")
+		{"wrong verb on session create", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/v1/session")
 		}, http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"bad generate params", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader(`{"workload":"uniform","m":0,"n":5,"seed":1}`))

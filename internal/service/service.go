@@ -1,16 +1,16 @@
 // Package service exposes the library as an HTTP data-caching planning
 // service: optimize a request trace, simulate online policies against it,
-// generate workloads, and maintain incremental planning streams whose
-// optimum is updated request by request. Everything is stdlib net/http with
-// JSON bodies; cmd/dcserved mounts it.
+// generate workloads, and serve live sessions and pools whose every reply
+// carries the exact off-line optimum of the prefix served so far.
+// Everything is stdlib net/http with JSON bodies; cmd/dcserved mounts it.
 //
 // Every route runs behind instrumentation middleware: a per-request ID
 // (propagated as the X-Request-Id header, into error bodies and into the
 // structured log), a status-labeled request counter and a per-route
 // latency histogram. /metrics renders the whole registry in the
 // Prometheus text exposition format; every unmounted path, retired
-// routes such as /metricz included, answers 404 inside the error
-// envelope. Live sessions additionally export
+// routes such as /metricz and /v1/stream included, answers 404 inside
+// the error envelope. Live sessions additionally export
 // engine decision counters, a decision-latency histogram, per-session
 // cost / optimum / cost_over_optimum / live_copies gauges, and a bounded
 // event trace at GET /v1/session/{id}/trace. Serving only updates the
@@ -25,7 +25,7 @@
 // alert is firing, and /metrics carries dc_session_server_cost,
 // dc_alert_state and dc_alert_transitions_total.
 //
-// The serving core is batch-first and lock-striped: session and stream
+// The serving core is batch-first and lock-striped: session and pool
 // ids hash onto independent registry shards (registry.go), per-session
 // serialization lives in a context-aware entry lock that a disconnected
 // client abandons, POST /v1/session/{id}/requests ingests an ordered
@@ -45,7 +45,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,7 +60,7 @@ import (
 )
 
 // Version identifies the service build in /healthz and /v1/spec.
-const Version = "1.11.0"
+const Version = "1.12.0"
 
 // DefaultTraceCap bounds each session's decision-event ring unless
 // WithTraceCap overrides it.
@@ -123,7 +122,6 @@ type Server struct {
 	alertState     *obs.GaugeVec     // session, alert (numeric AlertState code)
 	alertTrans     *obs.CounterVec   // alert, to
 	sessionsOpen   *obs.Gauge
-	streamsOpen    *obs.Gauge
 	poolsOpen      *obs.Gauge
 	poolItems      *obs.GaugeVec   // pool (live engine instances)
 	poolCost       *obs.GaugeVec   // pool
@@ -167,21 +165,13 @@ type Server struct {
 	anomalyRules []tsdb.AnomalyRule
 	anomalySet   bool
 
-	// The session and stream tables are lock-striped (registry.go): ids
+	// The session and pool tables are lock-striped (registry.go): ids
 	// hash onto numShards shards, each behind its own RWMutex, so
 	// operations on unrelated sessions never contend. Per-session
 	// serialization lives in each entry's own context-aware lock.
-	streams  *registry[*streamEntry]
 	sessions *registry[*sessionEntry]
 	pools    *registry[*poolEntry]
 	nextID   atomic.Int64
-}
-
-// streamEntry wraps an incremental planning stream with its own lock, so
-// appends to different streams proceed in parallel.
-type streamEntry struct {
-	mu  sync.Mutex
-	inc *offline.Incremental
 }
 
 // Option customizes a Server.
@@ -313,8 +303,6 @@ var routeDocs = map[string]string{
 	"/v1/generate":        "POST {workload, m, n, seed, gap?} -> synthetic sequence",
 	"/v1/plan":            "POST {m, model, events, online?} -> per-item catalog plan; online is a policy spec to bill each item with",
 	"/v1/policies":        "GET the policy kinds every policy spec field accepts",
-	"/v1/stream":          "POST {m, origin, model} -> incremental planning stream",
-	"/v1/stream/":         "POST {id}/append, GET {id}, GET {id}/schedule, DELETE {id}",
 	"/v1/session":         "POST {m, origin, model, policy?, shadows?} -> live policy-serving session (201 + Location); policy and shadows are policy specs",
 	"/v1/session/":        "POST {id}/request, POST {id}/requests (bulk: JSON {requests:[{server,t}]} or NDJSON lines; partial apply + firstRejected), GET {id}, GET {id}/schedule, GET {id}/trace, GET {id}/slo, GET {id}/shadow (counterfactual policy standings), GET {id}/record?mode=binary|ndjson (download the session's flight recording; 404 without -record-dir), DELETE {id} (close; returns final state + schedule)",
 	"/v1/pool":            "POST {m, origin, model, policy?, maxItems?, shadows?} -> multi-item multi-tenant serving pool (201 + Location)",
@@ -340,7 +328,6 @@ func New(opts ...Option) *Server {
 		traceSeed:    DefaultTraceSeed,
 		traceSample:  1,
 		shadowMargin: datacache.DefaultShadowMargin,
-		streams:      newRegistry[*streamEntry](),
 		sessions:     newRegistry[*sessionEntry](),
 		pools:        newRegistry[*poolEntry](),
 	}
@@ -392,7 +379,6 @@ func New(opts ...Option) *Server {
 		"SLO alert state transitions across all sessions, by rule and destination state.",
 		"alert", "to")
 	s.sessionsOpen = s.reg.Gauge("dc_sessions_open", "Open live-serving sessions.")
-	s.streamsOpen = s.reg.Gauge("dc_streams_open", "Open incremental planning streams.")
 	s.poolsOpen = s.reg.Gauge("dc_pools_open", "Open multi-item serving pools.")
 	s.poolItems = s.reg.GaugeVec("dc_pool_items",
 		"Items of a pool currently holding live engine state.", "pool")
@@ -500,8 +486,6 @@ func New(opts ...Option) *Server {
 	s.mount("/v1/generate", s.handleGenerate)
 	s.mount("/v1/plan", s.handlePlan)
 	s.mount("/v1/policies", s.handlePolicies)
-	s.mount("/v1/stream", s.handleStreamCreate)
-	s.mount("/v1/stream/", s.handleStreamOp)
 	s.mount("/v1/session", s.handleSessionCreate)
 	s.mount("/v1/session/", s.handleSessionOp)
 	s.mount("/v1/pool", s.handlePoolCreate)
@@ -656,17 +640,11 @@ type GenerateRequest struct {
 	Gap      float64 `json:"gap,omitempty"`
 }
 
-// StreamAppendRequest appends one request to a planning stream.
+// StreamAppendRequest is the body of POST /v1/session/{id}/request: one
+// request to serve.
 type StreamAppendRequest struct {
 	Server model.ServerID `json:"server"`
 	Time   float64        `json:"time"`
-}
-
-// StreamState reports a stream's standing after an operation.
-type StreamState struct {
-	ID   string  `json:"id"`
-	N    int     `json:"n"`
-	Cost float64 `json:"cost"`
 }
 
 // --- Handlers ---
@@ -929,87 +907,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, datacache.PolicyKinds())
-}
-
-func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.httpError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	var req struct {
-		M      int            `json:"m"`
-		Origin model.ServerID `json:"origin"`
-		Model  CostModelDTO   `json:"model"`
-	}
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	if req.Origin == 0 {
-		req.Origin = 1
-	}
-	inc, err := offline.NewIncremental(req.M, req.Origin, req.Model.toModel())
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	id := fmt.Sprintf("st-%d", s.nextID.Add(1))
-	s.streams.put(id, &streamEntry{inc: inc})
-	s.streamsOpen.Add(1)
-	w.Header().Set("Location", "/v1/stream/"+id)
-	writeJSON(w, http.StatusCreated, StreamState{ID: id, N: 0, Cost: 0})
-}
-
-func (s *Server) handleStreamOp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/stream/")
-	parts := strings.SplitN(rest, "/", 2)
-	id := parts[0]
-	op := ""
-	if len(parts) == 2 {
-		op = parts[1]
-	}
-	entry, ok := s.streams.get(id)
-	if !ok {
-		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown stream %q", id))
-		return
-	}
-	switch {
-	case op == "append" && r.Method == http.MethodPost:
-		var req StreamAppendRequest
-		if !s.readJSON(w, r, &req) {
-			return
-		}
-		entry.mu.Lock()
-		err := entry.inc.Append(model.Request{Server: req.Server, Time: req.Time})
-		state := StreamState{ID: id, N: entry.inc.N(), Cost: entry.inc.Cost()}
-		entry.mu.Unlock()
-		if err != nil {
-			s.httpError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, state)
-	case op == "" && r.Method == http.MethodGet:
-		entry.mu.Lock()
-		state := StreamState{ID: id, N: entry.inc.N(), Cost: entry.inc.Cost()}
-		entry.mu.Unlock()
-		writeJSON(w, http.StatusOK, state)
-	case op == "schedule" && r.Method == http.MethodGet:
-		entry.mu.Lock()
-		res := entry.inc.Result()
-		entry.mu.Unlock()
-		sched, err := res.Schedule()
-		if err != nil {
-			s.httpError(w, r, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, sched)
-	case op == "" && r.Method == http.MethodDelete:
-		if s.streams.delete(id) { // racing DELETEs must decrement once
-			s.streamsOpen.Add(-1)
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
-	default:
-		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown stream operation %q %s", op, r.Method))
-	}
 }
 
 // --- plumbing ---

@@ -3,13 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"datacache"
@@ -317,106 +315,6 @@ func TestPoliciesEndpoint(t *testing.T) {
 	}
 }
 
-func TestStreamLifecycle(t *testing.T) {
-	ts := newTestServer(t)
-	var st StreamState
-	resp := post(t, ts.URL+"/v1/stream", map[string]interface{}{
-		"m": 4, "origin": 1, "model": map[string]float64{"mu": 1, "lambda": 1},
-	}, &st)
-	if resp.StatusCode != http.StatusCreated || st.ID == "" {
-		t.Fatalf("create: status %d, state %+v", resp.StatusCode, st)
-	}
-	// Stream the Fig. 6 requests; the final cost must be 8.9.
-	seq, _ := offline.Fig6Instance()
-	for _, r := range seq.Requests {
-		resp := post(t, ts.URL+"/v1/stream/"+st.ID+"/append",
-			StreamAppendRequest{Server: r.Server, Time: r.Time}, &st)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("append: status %d", resp.StatusCode)
-		}
-	}
-	if math.Abs(st.Cost-8.9) > 1e-9 || st.N != 7 {
-		t.Errorf("final state = %+v, want cost 8.9 over 7 requests", st)
-	}
-	// Fetch the schedule.
-	resp2, err := http.Get(ts.URL + "/v1/stream/" + st.ID + "/schedule")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var sched model.Schedule
-	if err := json.NewDecoder(resp2.Body).Decode(&sched); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Validate(seq); err != nil {
-		t.Errorf("streamed schedule infeasible: %v", err)
-	}
-	// Out-of-order append rejected, stream unharmed.
-	resp = post(t, ts.URL+"/v1/stream/"+st.ID+"/append",
-		StreamAppendRequest{Server: 1, Time: 0.1}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("stale append: status %d", resp.StatusCode)
-	}
-	// Read state.
-	resp3, err := http.Get(ts.URL + "/v1/stream/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got StreamState
-	if err := json.NewDecoder(resp3.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if got.N != 7 {
-		t.Errorf("stream damaged by rejected append: %+v", got)
-	}
-	// Delete, then 404.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/stream/"+st.ID, nil)
-	resp4, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp4.Body.Close()
-	resp5, err := http.Get(ts.URL + "/v1/stream/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp5.Body.Close()
-	if resp5.StatusCode != http.StatusNotFound {
-		t.Errorf("deleted stream: status %d", resp5.StatusCode)
-	}
-}
-
-func TestStreamUnknownAndBadOps(t *testing.T) {
-	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/stream/st-999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown stream: status %d", resp.StatusCode)
-	}
-	var st StreamState
-	post(t, ts.URL+"/v1/stream", map[string]interface{}{
-		"m": 2, "model": map[string]float64{"mu": 1, "lambda": 1},
-	}, &st)
-	resp2, err := http.Get(ts.URL + "/v1/stream/" + st.ID + "/bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Errorf("bogus op: status %d", resp2.StatusCode)
-	}
-	resp3 := post(t, ts.URL+"/v1/stream", map[string]interface{}{
-		"m": 0, "model": map[string]float64{"mu": 1, "lambda": 1},
-	}, nil)
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid stream create: status %d", resp3.StatusCode)
-	}
-}
-
 func TestSpecAndMetrics(t *testing.T) {
 	ts := newTestServer(t)
 	// Hit a couple of routes first.
@@ -430,14 +328,17 @@ func TestSpecAndMetrics(t *testing.T) {
 	var spec map[string]string
 	json.NewDecoder(resp.Body).Decode(&spec)
 	resp.Body.Close()
-	for _, route := range []string{"/v1/optimize", "/v1/stream", "/metrics"} {
+	for _, route := range []string{"/v1/optimize", "/v1/session", "/v1/session/", "/metrics"} {
 		if _, ok := spec[route]; !ok {
 			t.Errorf("spec missing %s", route)
 		}
 	}
-	// The retired /metricz alias has no route of its own.
-	if _, ok := spec["/metricz"]; ok {
-		t.Error("spec still lists the retired /metricz")
+	// The retired /metricz alias and /v1/stream routes have no route of
+	// their own.
+	for _, route := range []string{"/metricz", "/v1/stream", "/v1/stream/"} {
+		if _, ok := spec[route]; ok {
+			t.Errorf("spec still lists the retired %s", route)
+		}
 	}
 }
 
@@ -452,51 +353,5 @@ func TestHealthReportsVersion(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&body)
 	if body["version"] != Version {
 		t.Errorf("version = %q, want %q", body["version"], Version)
-	}
-}
-
-func TestConcurrentStreams(t *testing.T) {
-	ts := newTestServer(t)
-	const streams = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, streams)
-	for k := 0; k < streams; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			var st StreamState
-			buf, _ := json.Marshal(map[string]interface{}{
-				"m": 3, "model": map[string]float64{"mu": 1, "lambda": 2},
-			})
-			resp, err := http.Post(ts.URL+"/v1/stream", "application/json", bytes.NewReader(buf))
-			if err != nil {
-				errs <- err
-				return
-			}
-			json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			for i := 1; i <= 20; i++ {
-				body, _ := json.Marshal(StreamAppendRequest{
-					Server: model.ServerID(1 + (i+k)%3),
-					Time:   float64(i),
-				})
-				resp, err := http.Post(ts.URL+"/v1/stream/"+st.ID+"/append", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("stream %s append %d: status %d", st.ID, i, resp.StatusCode)
-					resp.Body.Close()
-					return
-				}
-				resp.Body.Close()
-			}
-		}(k)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }

@@ -21,9 +21,9 @@ import (
 // session, POST live requests one at a time (each reply carries the
 // engine's decision plus the exact prefix optimum and running competitive
 // ratio), GET {id}/trace for the bounded decision-event ring, and DELETE
-// to close it and collect the final schedule. Unlike /v1/stream — which
-// only tracks the off-line optimum — a session actually serves the
-// traffic with an online policy. Every decision feeds the engine event
+// to close it and collect the final schedule. A session serves the
+// traffic with an online policy, and its streaming DP is the service's
+// one live readout of the prefix optimum. Every decision feeds the engine event
 // counters and the decision-latency histogram; the per-session
 // cost / optimum / cost_over_optimum / live_copies gauges and the rest
 // of a session's /metrics series are read from the session when a
@@ -541,6 +541,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 		d, err := entry.sess.Serve(req.Server, req.Time)
 		elapsed := time.Since(start)
 		n := entry.sess.N()
+		closed := entry.sess.Closed()
 		events := eventsLabel(entry.evs)
 		entry.lk.unlock()
 		if err != nil {
@@ -549,7 +550,11 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 				span.Error = true
 				span.End()
 			}
-			s.httpError(w, r, http.StatusBadRequest, err)
+			status := http.StatusBadRequest
+			if closed {
+				status = http.StatusConflict
+			}
+			s.httpError(w, r, status, err)
 			return
 		}
 		annotateServeSpan(span, id, d, events,

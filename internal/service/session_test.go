@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -54,6 +56,10 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if math.Abs(last.Optimal-opt.Cost()) > 1e-12 {
 		t.Errorf("session optimum %v != FastDP %v", last.Optimal, opt.Cost())
+	}
+	// The paper's Fig. 6 golden: the prefix optimum C(7) = 8.9.
+	if last.N != 7 || math.Abs(last.Optimal-8.9) > 1e-9 {
+		t.Errorf("after %d requests optimal = %v, want 8.9 at n = 7", last.N, last.Optimal)
 	}
 	if last.Ratio > 3+1e-9 {
 		t.Errorf("live ratio %v breaks Theorem 3", last.Ratio)
@@ -163,6 +169,49 @@ func TestSessionBadInputs(t *testing.T) {
 // TestSessionConcurrentHammer drives many sessions from parallel goroutines
 // while other goroutines hit the read-only and stateless routes — the
 // concurrency-hardening check for the service, meant to run under -race.
+// TestSessionServeOnClosedSessionConflicts covers a serve that takes
+// the entry just after a concurrent DELETE closed its session but before
+// the registry drops it: the single and the batch route both answer 409
+// conflict, as the pool routes do.
+func TestSessionServeOnClosedSessionConflicts(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	var st SessionState
+	post(t, ts.URL+"/v1/session", SessionCreateRequest{
+		M: 3, Origin: 1, Model: CostModelDTO{Mu: 1, Lambda: 1},
+	}, &st)
+	e, _ := s.sessions.get(st.ID)
+	_ = e.lk.lock(context.Background())
+	if _, err := e.sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.lk.unlock()
+	for _, route := range []struct {
+		path string
+		body interface{}
+	}{
+		{"/request", StreamAppendRequest{Server: 2, Time: 1}},
+		{"/requests", SessionBatchRequest{Requests: []BatchRequestItem{{Server: 2, T: 1}}}},
+	} {
+		buf, _ := json.Marshal(route.body)
+		resp, err := http.Post(ts.URL+"/v1/session/"+st.ID+route.path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusConflict || body.Error.Code != CodeConflict {
+			t.Errorf("POST %s on a closed session: %d %q, want 409 %q",
+				route.path, resp.StatusCode, body.Error.Code, CodeConflict)
+		}
+	}
+}
+
 func TestSessionConcurrentHammer(t *testing.T) {
 	ts := newTestServer(t)
 	const sessions = 6

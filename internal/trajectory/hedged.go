@@ -18,17 +18,8 @@ const hedgeEps = 1e-6
 // matched context's observations). The second result is 0 when the context
 // has a single outcome.
 func (p *Predictor) PredictTop2(recent []model.ServerID) (first, second model.ServerID, confidence float64) {
-	for order := p.K; order >= 1; order-- {
-		if len(recent) < order {
-			continue
-		}
-		ctx := contextKey(recent[len(recent)-order:])
-		if m := p.counts[order-1][ctx]; len(m) > 0 {
-			return top2(m)
-		}
-	}
-	if len(p.global) > 0 {
-		return top2(p.global)
+	if m := p.match(recent); len(m) > 0 {
+		return top2(m)
 	}
 	return 1, 0, 0
 }

@@ -225,15 +225,16 @@ func (p *Predictor) Train(visits []model.ServerID) {
 // order, so a live stream trains the same model a batch replay would.
 func (p *Predictor) Observe(recent []model.ServerID, v model.ServerID) {
 	p.global[v]++
+	var buf [keyBuf]byte
 	for order := 1; order <= p.K; order++ {
 		if len(recent) < order {
 			break
 		}
-		ctx := contextKey(recent[len(recent)-order:])
-		m := p.counts[order-1][ctx]
+		key := appendContextKey(buf[:0], recent[len(recent)-order:])
+		m := p.counts[order-1][string(key)]
 		if m == nil {
 			m = map[model.ServerID]int{}
-			p.counts[order-1][ctx] = m
+			p.counts[order-1][string(key)] = m
 		}
 		m[v]++
 	}
@@ -243,19 +244,23 @@ func (p *Predictor) Observe(recent []model.ServerID, v model.ServerID) {
 // history (highest order with data wins; ties break to the smaller ID for
 // determinism).
 func (p *Predictor) Predict(recent []model.ServerID) model.ServerID {
-	for order := p.K; order >= 1; order-- {
-		if len(recent) < order {
-			continue
-		}
-		ctx := contextKey(recent[len(recent)-order:])
-		if m := p.counts[order-1][ctx]; len(m) > 0 {
-			return argmaxServer(m)
-		}
-	}
-	if len(p.global) > 0 {
-		return argmaxServer(p.global)
+	if m := p.match(recent); len(m) > 0 {
+		return argmaxServer(m)
 	}
 	return 1
+}
+
+// match returns the next-station counts of the longest context of recent
+// the model has data for, falling back to the global counts.
+func (p *Predictor) match(recent []model.ServerID) map[model.ServerID]int {
+	var buf [keyBuf]byte
+	for order := min(p.K, len(recent)); order >= 1; order-- {
+		key := appendContextKey(buf[:0], recent[len(recent)-order:])
+		if m := p.counts[order-1][string(key)]; len(m) > 0 {
+			return m
+		}
+	}
+	return p.global
 }
 
 // Accuracy replays the predictor over a test visit sequence and returns the
@@ -274,12 +279,17 @@ func (p *Predictor) Accuracy(visits []model.ServerID) float64 {
 	return float64(hits) / float64(len(visits)-1)
 }
 
-func contextKey(ctx []model.ServerID) string {
-	b := make([]byte, 0, len(ctx)*3)
+// keyBuf sizes the stack buffer context keys are built in: three bytes
+// per server, so contexts of up to 8 servers never touch the heap.
+const keyBuf = 24
+
+// appendContextKey appends ctx's map key to b. Indexing a map with
+// string(key) allocates nothing; only inserting a new context does.
+func appendContextKey(b []byte, ctx []model.ServerID) []byte {
 	for _, s := range ctx {
 		b = append(b, byte(s), byte(s>>8), ',')
 	}
-	return string(b)
+	return b
 }
 
 func argmaxServer(m map[model.ServerID]int) model.ServerID {

@@ -13,7 +13,7 @@ import (
 	"datacache/internal/recorder"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden recordings under testdata/dcrec-v2")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // recordGoldenWorkload records, from one goroutine, the Fig. 6 session
 // (each serve stamped with a trace id) and a seeded pool churning nine
