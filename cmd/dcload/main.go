@@ -297,10 +297,10 @@ type workerResult struct {
 	Errs5xx    int
 	Transport  int
 	FinalRatio float64
-	Shadow     []client.ShadowStanding // final counterfactual standings
-	RecordFile string                  // downloaded flight recording, if any
-	Err        error                   // first fatal error (session create, etc.)
-	prevGap    float64                 // Cost − Optimal before the current chunk
+	Shadow     *client.ShadowResponse // final counterfactual standings and optimum
+	RecordFile string                 // downloaded flight recording, if any
+	Err        error                  // first fatal error (session create, etc.)
+	prevGap    float64                // Cost − Optimal before the current chunk
 }
 
 // runWorker drives one session to completion. Batches retry on 429 using
@@ -355,7 +355,7 @@ func runWorker(ctx context.Context, cl *client.Client, cfg workerConfig) workerR
 	}
 	if len(cfg.shadows) > 0 {
 		if sr, err := sess.Shadow(ctx); err == nil {
-			res.Shadow = sr.Standings
+			res.Shadow = &sr
 		}
 	}
 	// Download the flight recording before the deferred Close: closing
@@ -844,7 +844,18 @@ func buildReport(workloadName string, batch int, elapsed time.Duration, results 
 			rep.RecordFiles = append(rep.RecordFiles, r.RecordFile)
 		}
 	}
-	rep.Shadow = mergeShadowStandings(results)
+	// One table over every session: each ratio is over the summed optimum.
+	var shadows []*datacache.ShadowReport
+	opt := 0.0
+	for _, r := range results {
+		if r.Shadow != nil {
+			shadows = append(shadows, &r.Shadow.ShadowReport)
+			opt += r.Shadow.Optimal
+		}
+	}
+	if merged := datacache.MergeShadowReports(opt, shadows...); merged != nil {
+		rep.Shadow = merged.Standings
+	}
 	rep.Lat = stats.Summarize(all)
 	if len(all) > 0 {
 		sort.Float64s(all)
@@ -858,49 +869,6 @@ func buildReport(workloadName string, batch int, elapsed time.Duration, results 
 	rep.Slowest = topTraces(traces, func(a, b traceSample) bool { return a.Latency > b.Latency })
 	rep.TopRegret = topTraces(traces, func(a, b traceSample) bool { return a.Regret > b.Regret })
 	return rep
-}
-
-// mergeShadowStandings sums each worker-session's counterfactual
-// standings by policy label — costs, hits, transfers, drops and
-// divergence counts are all additive across sessions — preserving the
-// row order of the first worker that reported any.
-func mergeShadowStandings(results []workerResult) []client.ShadowStanding {
-	var order []string
-	byPolicy := map[string]*client.ShadowStanding{}
-	for _, r := range results {
-		for _, row := range r.Shadow {
-			agg, ok := byPolicy[row.Policy]
-			if !ok {
-				cp := row
-				cp.Best = false
-				byPolicy[row.Policy] = &cp
-				order = append(order, row.Policy)
-				continue
-			}
-			agg.Cost += row.Cost
-			agg.WindowedCost += row.WindowedCost
-			agg.Hits += row.Hits
-			agg.Transfers += row.Transfers
-			agg.Drops += row.Drops
-			agg.Divergence += row.Divergence
-		}
-	}
-	if len(order) == 0 {
-		return nil
-	}
-	out := make([]client.ShadowStanding, 0, len(order))
-	best, bestCost := -1, 0.0
-	for i, p := range order {
-		row := *byPolicy[p]
-		if row.Err == "" && (best < 0 || row.Cost < bestCost) {
-			best, bestCost = i, row.Cost
-		}
-		out = append(out, row)
-	}
-	if best >= 0 {
-		out[best].Best = true
-	}
-	return out
 }
 
 // topTraces returns the ten best samples under less (a "greater than"

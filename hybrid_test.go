@@ -67,7 +67,7 @@ func TestHybridSessionSelfCheck(t *testing.T) {
 	}
 	// The built-in guarantee: planning must not lose to the SC fallback
 	// on traffic the predictor nails.
-	live, sc := sess.Cost(), sess.ShadowCostLive(0)
+	live, sc := sess.Cost(), sess.ShadowTotals(0).Cost
 	if live > sc+1e-9 {
 		t.Fatalf("hybrid live cost %v exceeds sc shadow %v", live, sc)
 	}

@@ -3,7 +3,6 @@ package model
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -149,6 +148,33 @@ func (s *Schedule) HeldAt(server ServerID, t float64) bool {
 	return false
 }
 
+// heldAt is HeldAt on a normalized schedule, in O(log C). There a
+// server's intervals are disjoint and sorted, so their starts and ends
+// both increase, and only the first one that ends at or after t (within
+// timeEps) can hold the item at t.
+func (s *Schedule) heldAt(server ServerID, t float64) bool {
+	k := sort.Search(len(s.Caches), func(i int) bool {
+		h := s.Caches[i]
+		return h.Server > server || h.Server == server && t <= h.To+timeEps
+	})
+	return k < len(s.Caches) && s.Caches[k].Server == server && s.Caches[k].From-timeEps <= t
+}
+
+// transferNear reports whether a transfer into server lands within
+// timeEps of t, on a normalized schedule. Its transfers are sorted by
+// time, so the ones within timeEps of t are one run that starts where a
+// binary search finds it.
+func (s *Schedule) transferNear(server ServerID, t float64) bool {
+	trs := s.Transfers
+	k := sort.Search(len(trs), func(i int) bool { return trs[i].Time-t >= -timeEps })
+	for ; k < len(trs) && trs[k].Time-t <= timeEps; k++ {
+		if trs[k].To == server {
+			return true
+		}
+	}
+	return false
+}
+
 // Validate checks feasibility of the schedule for the given instance:
 //
 //  1. Every request r_i is served — either a cache interval on s_i contains
@@ -163,7 +189,9 @@ func (s *Schedule) HeldAt(server ServerID, t float64) bool {
 //  4. Transfer provenance — every transfer's source holds a live copy at the
 //     transfer time.
 //
-// Validate does not require minimality or optimality.
+// Validate does not require minimality or optimality. Each lookup is a
+// binary search over the normalized schedule, so it runs in
+// O((n + C + T) log(C + T)).
 func (s *Schedule) Validate(seq *Sequence) error {
 	if err := seq.Validate(); err != nil {
 		return err
@@ -179,24 +207,14 @@ func (s *Schedule) Validate(seq *Sequence) error {
 		if tr.From == tr.To {
 			return fmt.Errorf("model: transfer at t=%v from server %d to itself", tr.Time, tr.From)
 		}
-		if !norm.HeldAt(tr.From, tr.Time) {
+		if !norm.heldAt(tr.From, tr.Time) {
 			return fmt.Errorf("model: transfer at t=%v sourced from server %d which holds no copy then", tr.Time, tr.From)
 		}
 	}
 
 	// 1: every request served.
 	for i, r := range seq.Requests {
-		if norm.HeldAt(r.Server, r.Time) {
-			continue
-		}
-		served := false
-		for _, tr := range norm.Transfers {
-			if tr.To == r.Server && math.Abs(tr.Time-r.Time) <= timeEps {
-				served = true
-				break
-			}
-		}
-		if !served {
+		if !norm.heldAt(r.Server, r.Time) && !norm.transferNear(r.Server, r.Time) {
 			return fmt.Errorf("model: request %d at (s%d, t=%v) is not served by cache or transfer", i+1, r.Server, r.Time)
 		}
 	}
@@ -209,14 +227,7 @@ func (s *Schedule) Validate(seq *Sequence) error {
 			}
 			continue
 		}
-		ok := false
-		for _, tr := range norm.Transfers {
-			if tr.To == h.Server && math.Abs(tr.Time-h.From) <= timeEps {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !norm.transferNear(h.Server, h.From) {
 			// A held copy may also originate at a request served at this
 			// exact point by an incoming transfer already checked above, or
 			// by an interval that was merged; after Normalize those cases

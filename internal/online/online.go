@@ -11,7 +11,9 @@
 package online
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"datacache/internal/model"
 )
@@ -67,12 +69,18 @@ func Run(p Runner, seq *model.Sequence, cm model.CostModel) (*Result, error) {
 }
 
 // countServedByTransfer counts requests coinciding with a transfer into
-// their server.
+// their server, in one pass over the requests and the time-sorted
+// transfers.
 func countServedByTransfer(seq *model.Sequence, s *model.Schedule) int {
-	n := 0
+	trs := slices.Clone(s.Transfers)
+	slices.SortFunc(trs, func(a, b model.Transfer) int { return cmp.Compare(a.Time, b.Time) })
+	n, k := 0, 0
 	for _, r := range seq.Requests {
-		for _, tr := range s.Transfers {
-			if tr.To == r.Server && tr.Time == r.Time {
+		for k < len(trs) && !(trs[k].Time >= r.Time) { // NaN sorts first and never matches
+			k++
+		}
+		for j := k; j < len(trs) && trs[j].Time == r.Time; j++ {
+			if trs[j].To == r.Server {
 				n++
 				break
 			}

@@ -209,33 +209,8 @@ func (s *Server) publishPoolGauges(id string, e *poolEntry) {
 	for _, ts := range p.Tenants() {
 		s.poolTenantWRat.With(id, ts.Tenant).Set(ts.WindowedRatio)
 	}
-	// Shadow-policy standings, the cheap O(K) path: cumulative costs are
-	// maintained incrementally by the pool, no per-item walk here.
-	names := p.ShadowNames()
-	if len(names) == 0 {
-		return
-	}
-	opt := p.Optimal()
-	costs := p.ShadowCosts()
-	bestIdx, bestCost := -1, p.Cost()
-	for i, name := range names {
-		c := costs[i]
-		s.poolShadowCost.With(id, name).Set(c)
-		s.poolShadowRat.With(id, name).Set(costOverOpt(c, opt))
-		if c < bestCost {
-			bestIdx, bestCost = i, c
-		}
-	}
-	for i, name := range names {
-		s.poolShadowBest.With(id, name).Set(boolGauge(i == bestIdx))
-	}
-	// Live last: a shadow may share the live policy's label and must not
-	// clobber a winning live row.
-	liveName := p.Policy()
-	if bestIdx < 0 {
-		s.poolShadowBest.With(id, liveName).Set(1)
-	} else if liveName != names[bestIdx] {
-		s.poolShadowBest.With(id, liveName).Set(0)
+	if rep := p.ShadowReport(); rep != nil {
+		publishShadowRows(s.poolShadowCost, s.poolShadowRat, s.poolShadowBest, id, rep)
 	}
 }
 
@@ -352,6 +327,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		d, err := entry.pool.Serve(req.Tenant, req.Item, req.Server, req.at())
 		elapsed := time.Since(start)
+		closed := entry.pool.Closed()
 		entry.lk.unlock()
 		if err != nil {
 			if span != nil {
@@ -360,7 +336,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 				span.End()
 			}
 			status := http.StatusBadRequest
-			if entry.pool.Closed() {
+			if closed {
 				status = http.StatusConflict
 			}
 			s.httpError(w, r, status, err)

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -325,5 +327,47 @@ func TestPoolHammer(t *testing.T) {
 	}
 	if state.Cost < state.Optimal {
 		t.Errorf("pool cost %v below its optimum %v", state.Cost, state.Optimal)
+	}
+}
+
+// TestPoolServeOnClosedPoolConflicts closes a pool through its entry
+// under the entry lock, as DELETE does, and then serves to it: both the
+// single and the batch route answer 409 conflict.
+func TestPoolServeOnClosedPoolConflicts(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	var st PoolState
+	post(t, ts.URL+"/v1/pool", PoolCreateRequest{
+		M: 3, Origin: 1, Model: CostModelDTO{Mu: 1, Lambda: 1},
+	}, &st)
+	e, _ := s.pools.get(st.ID)
+	_ = e.lk.lock(context.Background())
+	if err := e.pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.lk.unlock()
+	for _, route := range []struct {
+		path string
+		body interface{}
+	}{
+		{"/request", PoolServeRequest{Item: "a", Server: 2, T: 1}},
+		{"/requests", PoolBatchRequestBody{Requests: []PoolServeRequest{{Item: "a", Server: 2, T: 1}}}},
+	} {
+		buf, _ := json.Marshal(route.body)
+		resp, err := http.Post(ts.URL+"/v1/pool/"+st.ID+route.path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusConflict || body.Error.Code != CodeConflict {
+			t.Errorf("POST %s on a closed pool: %d %q, want 409 %q",
+				route.path, resp.StatusCode, body.Error.Code, CodeConflict)
+		}
 	}
 }

@@ -313,29 +313,22 @@ func (s *Server) publishSessionGauges(id string, sess *datacache.Session) {
 		s.plannerMispred.With(id).Set(float64(st.Mispredicts))
 	}
 
-	// Shadow standings, priced exactly as the live cost above.
-	if names := sess.ShadowNames(); len(names) > 0 {
-		bestIdx := -1 // -1: the live policy is winning
-		bestCost := cost
-		for i, name := range names {
-			c := sess.ShadowCostLive(i)
-			s.shadowCost.With(id, name).Set(c)
-			s.shadowRatio.With(id, name).Set(costOverOpt(c, opt))
-			if c < bestCost {
-				bestCost, bestIdx = c, i
-			}
+	if rep := sess.ShadowReport(); rep != nil {
+		publishShadowRows(s.shadowCost, s.shadowRatio, s.shadowBest, id, rep)
+	}
+}
+
+// publishShadowRows writes a shadow report's rows to one entry's cost,
+// ratio and best-policy gauges; the live row writes its best flag only.
+// The flag is read by label: a self-check shadow shares the live
+// policy's label, and both rows then write the same value.
+func publishShadowRows(cost, ratio, best *obs.GaugeVec, id string, rep *datacache.ShadowReport) {
+	for _, st := range rep.Standings {
+		if !st.Live {
+			cost.With(id, st.Policy).Set(st.Cost)
+			ratio.With(id, st.Policy).Set(st.CostOverOptimum)
 		}
-		for i, name := range names {
-			s.shadowBest.With(id, name).Set(boolGauge(i == bestIdx))
-		}
-		// Live last: a shadow may share the live policy's label (the
-		// self-check configuration) and must not clobber a winning live row.
-		liveName := sess.Policy()
-		if bestIdx < 0 {
-			s.shadowBest.With(id, liveName).Set(1)
-		} else if liveName != names[bestIdx] {
-			s.shadowBest.With(id, liveName).Set(0)
-		}
+		best.With(id, st.Policy).Set(boolGauge(st.Policy == rep.Best))
 	}
 }
 

@@ -150,9 +150,8 @@ type poolItem struct {
 	lastServed        float64
 	revivals          int
 
-	retiredCost, retiredOpt                           float64
-	retiredN, retiredHits, retiredXfers, retiredDrops int
-	retiredShadow                                     []ShadowTotals // folded per-shadow accounting
+	retiredCost, retiredOpt             float64
+	retiredN, retiredHits, retiredXfers int
 }
 
 // cost returns the item's cross-incarnation policy cost.
@@ -209,14 +208,15 @@ type Pool struct {
 	cost, opt float64
 	closed    bool
 
-	// Pool-wide shadow accounting, maintained incrementally per serve
-	// from each item session's per-shadow cost deltas. Empty
-	// unless the session template configures ShadowPolicies.
+	// Pool-wide shadow accounting, kept per serve from what the serve
+	// added to the item session's totals: ledger line 0 is the live
+	// policy and line i+1 shadow i, each with its rolling cost window in
+	// wins. Nil unless the session template configures ShadowPolicies.
 	livePolicy   string
 	shadowNames  []string
-	shadowCost   []float64
-	shadowWin    []engine.CostWindow
-	liveWin      engine.CostWindow
+	ledger       shadowLedger
+	wins         []engine.CostWindow
+	before       []ShadowTotals // the served item's shadow totals before a serve
 	shadowWindow int
 	shadowMargin float64
 
@@ -256,14 +256,18 @@ func NewPool(m int, origin ServerID, cm CostModel, opts *PoolOptions) (*Pool, er
 	p.livePolicy = probe.Policy()
 	if names := probe.ShadowNames(); len(names) > 0 {
 		p.shadowNames = append([]string(nil), names...)
-		p.shadowCost = make([]float64, len(names))
 		p.shadowWindow = probe.shadowWindow
 		p.shadowMargin = probe.shadowMargin
-		p.shadowWin = make([]engine.CostWindow, len(names))
-		for i := range p.shadowWin {
-			p.shadowWin[i] = engine.NewCostWindow(p.shadowWindow)
+		p.ledger = make(shadowLedger, 0, len(names)+1)
+		p.ledger = append(p.ledger, ShadowStanding{Policy: p.livePolicy, Live: true})
+		for _, name := range names {
+			p.ledger = append(p.ledger, ShadowStanding{Policy: name})
 		}
-		p.liveWin = engine.NewCostWindow(p.shadowWindow)
+		p.wins = make([]engine.CostWindow, len(p.ledger))
+		for i := range p.wins {
+			p.wins[i] = engine.NewCostWindow(p.shadowWindow)
+		}
+		p.before = make([]ShadowTotals, len(names))
 	}
 	return p, nil
 }
@@ -368,22 +372,7 @@ func (p *Pool) evictLRU() *Session {
 	it.retiredN += it.sess.N()
 	it.retiredHits += it.sess.Hits()
 	it.retiredXfers += it.sess.Transfers()
-	it.retiredDrops += it.sess.Drops()
-	if k := len(p.shadowNames); k > 0 {
-		if it.retiredShadow == nil {
-			it.retiredShadow = make([]ShadowTotals, k)
-		}
-		for i := 0; i < k; i++ {
-			tot := it.sess.ShadowTotals(i)
-			rs := &it.retiredShadow[i]
-			rs.Cost += tot.Cost
-			rs.Hits += tot.Hits
-			rs.Transfers += tot.Transfers
-			rs.Drops += tot.Drops
-			rs.Divergence += tot.Divergence
-		}
-		clear(it.prevShadow) // the next incarnation starts from zero
-	}
+	clear(it.prevShadow) // the next incarnation starts from zero
 	sess := it.sess
 	it.sess = nil
 	p.unlink(it)
@@ -407,6 +396,20 @@ func (p *Pool) Serve(tenant, item string, server ServerID, t float64) (PoolDecis
 	if p.recTrace != "" {
 		it.sess.SetRecordTraceID(p.recTrace)
 	}
+	if p.ledger != nil {
+		if it.prevShadow == nil {
+			it.prevShadow = make([]float64, len(p.before))
+		}
+		// A shadow's cost before this serve is the one the item's last
+		// serve left (zero in a new incarnation): no stream is priced
+		// twice per serve.
+		ss := it.sess.shadows
+		for i := range p.before {
+			p.before[i] = ShadowTotals{Cost: it.prevShadow[i], Hits: ss.Hits(i),
+				Transfers: ss.Transfers(i), Drops: ss.Drops(i), Divergence: ss.Divergence(i)}
+		}
+	}
+	xfers := it.sess.Transfers()
 	d, err := it.sess.Serve(server, t)
 	if err != nil {
 		return PoolDecision{}, fmt.Errorf("item %s: %w", it.key, err)
@@ -414,18 +417,8 @@ func (p *Pool) Serve(tenant, item string, server ServerID, t float64) (PoolDecis
 	costDelta := d.Cost - it.prevCost
 	optDelta := d.Optimal - it.prevOpt
 	it.prevCost, it.prevOpt = d.Cost, d.Optimal
-	if k := len(p.shadowNames); k > 0 {
-		if it.prevShadow == nil {
-			it.prevShadow = make([]float64, k)
-		}
-		for i := 0; i < k; i++ {
-			c := it.sess.ShadowCostLive(i)
-			delta := c - it.prevShadow[i]
-			it.prevShadow[i] = c
-			p.shadowCost[i] += delta
-			p.shadowWin[i].Add(delta)
-		}
-		p.liveWin.Add(costDelta)
+	if p.ledger != nil {
+		p.addShadowDeltas(it, d, costDelta, xfers)
 	}
 	it.lastServed = t
 	if p.newest != it {
@@ -453,6 +446,37 @@ func (p *Pool) Serve(tenant, item string, server ServerID, t float64) (PoolDecis
 		PoolOptimal: p.opt,
 		PoolRatio:   ratioOf(p.cost, p.opt),
 	}, nil
+}
+
+// addShadowDeltas adds what one serve of it added to its session's live
+// and shadow totals into the pool's ledger lines and cost windows: the
+// difference of each total from p.before (xfers, for the live
+// transfers), taken just before the serve.
+func (p *Pool) addShadowDeltas(it *poolItem, d Decision, costDelta float64, xfers int) {
+	sess := it.sess
+	live := ShadowStanding{Cost: costDelta, Transfers: sess.Transfers() - xfers, Drops: d.Drops}
+	if d.Hit {
+		live.Hits = 1
+	}
+	p.ledger[0].accumulate(live)
+	p.wins[0].Add(costDelta)
+	for i, prev := range p.before {
+		tot := sess.ShadowTotals(i)
+		delta := tot.Cost - prev.Cost
+		it.prevShadow[i] = tot.Cost
+		line := &p.ledger[i+1]
+		line.accumulate(ShadowStanding{
+			Cost:       delta,
+			Hits:       tot.Hits - prev.Hits,
+			Transfers:  tot.Transfers - prev.Transfers,
+			Drops:      tot.Drops - prev.Drops,
+			Divergence: tot.Divergence - prev.Divergence,
+		})
+		if err := sess.shadows.Err(i); err != nil && line.Err == "" {
+			line.Err = err.Error()
+		}
+		p.wins[i+1].Add(delta)
+	}
 }
 
 // PoolRejection names one batch request the pool refused and why.
@@ -744,90 +768,20 @@ func (p *Pool) ShadowNames() []string { return p.shadowNames }
 // engine runs ("sc", "ttl:window=0.5", "migrate", ...).
 func (p *Pool) Policy() string { return p.livePolicy }
 
-// ShadowCosts returns the pool-wide per-shadow cost accumulators
-// (indexed like ShadowNames) — the per-serve gauge feed. The slice is
-// shared; treat it as read-only.
-func (p *Pool) ShadowCosts() []float64 { return p.shadowCost }
-
 // ShadowReport builds the pool-wide counterfactual readout, or nil when
-// the session template runs no shadows. Per-policy costs accumulate
-// each item session's shadow cost deltas across incarnations (eviction
-// retains them, like the pool's own cost); hit/transfer/drop/divergence
-// counters aggregate over every item, so the query is O(items).
+// the session template runs no shadows. Every line accumulates what
+// each serve added to its item session's totals, across incarnations
+// (eviction retains them, like the pool's own cost), so the report
+// costs O(shadows) however many items the pool holds.
 func (p *Pool) ShadowReport() *ShadowReport {
-	k := len(p.shadowNames)
-	if k == 0 {
+	if p.ledger == nil {
 		return nil
 	}
-	rep := &ShadowReport{
-		Window:    p.shadowWindow,
-		Margin:    p.shadowMargin,
-		Standings: make([]ShadowStanding, 0, k+1),
+	lg := slices.Clone(p.ledger)
+	for i := range lg {
+		lg[i].WindowedCost = p.wins[i].Sum()
 	}
-	live := ShadowStanding{
-		Policy:          p.livePolicy,
-		Live:            true,
-		Cost:            p.cost,
-		CostOverOptimum: ratioOf(p.cost, p.opt),
-		WindowedCost:    p.liveWin.Sum(),
-	}
-	shadows := make([]ShadowStanding, k)
-	for i := 0; i < k; i++ {
-		shadows[i] = ShadowStanding{
-			Policy:          p.shadowNames[i],
-			Cost:            p.shadowCost[i],
-			CostOverOptimum: ratioOf(p.shadowCost[i], p.opt),
-			WindowedCost:    p.shadowWin[i].Sum(),
-		}
-	}
-	for _, it := range p.items {
-		live.Hits += it.retiredHits
-		live.Transfers += it.retiredXfers
-		live.Drops += it.retiredDrops
-		if it.sess != nil {
-			live.Hits += it.sess.Hits()
-			live.Transfers += it.sess.Transfers()
-			live.Drops += it.sess.Drops()
-		}
-		for i := 0; i < k; i++ {
-			if it.retiredShadow != nil {
-				rs := it.retiredShadow[i]
-				shadows[i].Hits += rs.Hits
-				shadows[i].Transfers += rs.Transfers
-				shadows[i].Drops += rs.Drops
-				shadows[i].Divergence += rs.Divergence
-			}
-			if it.sess != nil {
-				tot := it.sess.ShadowTotals(i)
-				shadows[i].Hits += tot.Hits
-				shadows[i].Transfers += tot.Transfers
-				shadows[i].Drops += tot.Drops
-				shadows[i].Divergence += tot.Divergence
-			}
-		}
-	}
-	rep.Standings = append(rep.Standings, live)
-	rep.Standings = append(rep.Standings, shadows...)
-	best := 0
-	for i := 1; i < len(rep.Standings); i++ {
-		if rep.Standings[i].Cost < rep.Standings[best].Cost {
-			best = i
-		}
-	}
-	rep.Standings[best].Best = true
-	rep.Best = rep.Standings[best].Policy
-	return rep
-}
-
-// Shadows returns the pool-wide counterfactual standings — the live
-// policy first, then every shadow, Best marking the minimum-cost line —
-// or nil when the session template runs no shadows.
-func (p *Pool) Shadows() []ShadowStanding {
-	rep := p.ShadowReport()
-	if rep == nil {
-		return nil
-	}
-	return rep.Standings
+	return lg.report(p.shadowWindow, p.shadowMargin, p.opt)
 }
 
 // Stats snapshots the pool-wide readout.

@@ -198,7 +198,9 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 					continue
 				}
 				// Fresh incarnation: fresh session from the recorded config.
-				sopts := &SessionOptions{Policy: r.Info.Policy, ShadowPolicies: shadows}
+				// Its shadows' windowed costs span the replay window, and
+				// they track no alert: the panel carries none.
+				sopts := &SessionOptions{Policy: r.Info.Policy, ShadowPolicies: shadows, ShadowWindow: window, ShadowMargin: -1}
 				cm := CostModel{Mu: r.Info.Mu, Lambda: r.Info.Lambda}
 				sess, err := NewSession(r.Info.M, ServerID(r.Info.Origin), cm, sopts)
 				if err != nil {
@@ -293,36 +295,6 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 		rk.rep.HindsightOpt = rk.inc.Cost()
 		rk.rep.Ratio = ratioOf(rk.rep.LiveCost, rk.rep.HindsightOpt)
 		rep.Keys = append(rep.Keys, rk.rep)
-		rep.LiveCost += rk.rep.LiveCost
-		rep.HindsightOpt += rk.rep.HindsightOpt
-		ta := tenants[rk.rep.Tenant]
-		if ta == nil {
-			ta = &ReplayTenant{Tenant: rk.rep.Tenant}
-			tenants[rk.rep.Tenant] = ta
-		}
-		ta.Keys++
-		ta.N += rk.rep.N
-		ta.LiveCost += rk.rep.LiveCost
-		ta.HindsightOpt += rk.rep.HindsightOpt
-		ss := sessions[rk.rep.Session]
-		if ss == nil {
-			ss = &ReplaySession{Session: rk.rep.Session}
-			sessions[rk.rep.Session] = ss
-		}
-		ss.Keys++
-		ss.N += rk.rep.N
-		ss.LiveCost += rk.rep.LiveCost
-		ss.HindsightOpt += rk.rep.HindsightOpt
-	}
-	rep.Ratio = ratioOf(rep.LiveCost, rep.HindsightOpt)
-	rep.WindowRatio = ratioOf(liveWin.Sum(), optWin.Sum())
-	for _, ta := range tenants {
-		ta.Ratio = ratioOf(ta.LiveCost, ta.HindsightOpt)
-		rep.Tenants = append(rep.Tenants, *ta)
-	}
-	for _, ss := range sessions {
-		ss.Ratio = ratioOf(ss.LiveCost, ss.HindsightOpt)
-		rep.Sessions = append(rep.Sessions, *ss)
 	}
 	sort.Slice(rep.Keys, func(i, j int) bool {
 		a, b := rep.Keys[i], rep.Keys[j]
@@ -334,76 +306,55 @@ func Replay(recs []*recorder.Recording, opts *ReplayOptions) (*ReplayReport, err
 		}
 		return a.Item < b.Item
 	})
+	// Sum in the sorted key order: a map's order would move the totals'
+	// last bits from one replay of the same recording to the next.
+	for _, k := range rep.Keys {
+		rep.LiveCost += k.LiveCost
+		rep.HindsightOpt += k.HindsightOpt
+		ta := tenants[k.Tenant]
+		if ta == nil {
+			ta = &ReplayTenant{Tenant: k.Tenant}
+			tenants[k.Tenant] = ta
+		}
+		ta.Keys++
+		ta.N += k.N
+		ta.LiveCost += k.LiveCost
+		ta.HindsightOpt += k.HindsightOpt
+		ss := sessions[k.Session]
+		if ss == nil {
+			ss = &ReplaySession{Session: k.Session}
+			sessions[k.Session] = ss
+		}
+		ss.Keys++
+		ss.N += k.N
+		ss.LiveCost += k.LiveCost
+		ss.HindsightOpt += k.HindsightOpt
+	}
+	rep.Ratio = ratioOf(rep.LiveCost, rep.HindsightOpt)
+	rep.WindowRatio = ratioOf(liveWin.Sum(), optWin.Sum())
+	for _, ta := range tenants {
+		ta.Ratio = ratioOf(ta.LiveCost, ta.HindsightOpt)
+		rep.Tenants = append(rep.Tenants, *ta)
+	}
+	for _, ss := range sessions {
+		ss.Ratio = ratioOf(ss.LiveCost, ss.HindsightOpt)
+		rep.Sessions = append(rep.Sessions, *ss)
+	}
 	sort.Slice(rep.Tenants, func(i, j int) bool { return rep.Tenants[i].Tenant < rep.Tenants[j].Tenant })
 	sort.Slice(rep.Sessions, func(i, j int) bool { return rep.Sessions[i].Session < rep.Sessions[j].Session })
 
 	if len(opts.Shadows) > 0 {
-		rep.ShadowPanel = replayShadowPanel(streams, order, window, rep.LiveCost, rep.HindsightOpt)
+		// The panel merges every replayed stream's session report, in
+		// stream order, over the recording's hindsight optimum.
+		var panels []*ShadowReport
+		for _, id := range order {
+			if st := streams[id]; st.sess != nil {
+				panels = append(panels, st.sess.ShadowReport())
+			}
+		}
+		rep.ShadowPanel = MergeShadowReports(rep.HindsightOpt, panels...)
 	}
 	return rep, nil
-}
-
-// replayShadowPanel aggregates the counterfactual standings across every
-// replayed stream: the live policy first, then each shadow, Best marking
-// the minimum-cost line.
-func replayShadowPanel(streams map[uint32]*replayStream, order []uint32, window int, liveCost, opt float64) *ShadowReport {
-	var names []string
-	var costs []float64
-	var hits, xfers, drops, div []int
-	var liveHits, liveXfers, liveDrops int
-	var livePolicy string
-	for _, id := range order {
-		st := streams[id]
-		if st.sess == nil {
-			continue
-		}
-		livePolicy = st.sess.Policy()
-		liveHits += st.sess.Hits()
-		liveXfers += st.sess.Transfers()
-		liveDrops += st.sess.Drops()
-		sn := st.sess.ShadowNames()
-		if names == nil {
-			names = append([]string(nil), sn...)
-			costs = make([]float64, len(names))
-			hits = make([]int, len(names))
-			xfers = make([]int, len(names))
-			drops = make([]int, len(names))
-			div = make([]int, len(names))
-		}
-		for i := range sn {
-			tot := st.sess.ShadowTotals(i)
-			costs[i] += tot.Cost
-			hits[i] += tot.Hits
-			xfers[i] += tot.Transfers
-			drops[i] += tot.Drops
-			div[i] += tot.Divergence
-		}
-	}
-	if names == nil {
-		return nil
-	}
-	rep := &ShadowReport{Window: window, Standings: make([]ShadowStanding, 0, len(names)+1)}
-	rep.Standings = append(rep.Standings, ShadowStanding{
-		Policy: livePolicy, Live: true, Cost: liveCost,
-		CostOverOptimum: ratioOf(liveCost, opt),
-		Hits:            liveHits, Transfers: liveXfers, Drops: liveDrops,
-	})
-	for i, name := range names {
-		rep.Standings = append(rep.Standings, ShadowStanding{
-			Policy: name, Cost: costs[i],
-			CostOverOptimum: ratioOf(costs[i], opt),
-			Hits:            hits[i], Transfers: xfers[i], Drops: drops[i], Divergence: div[i],
-		})
-	}
-	best := 0
-	for i := 1; i < len(rep.Standings); i++ {
-		if rep.Standings[i].Cost < rep.Standings[best].Cost {
-			best = i
-		}
-	}
-	rep.Standings[best].Best = true
-	rep.Best = rep.Standings[best].Policy
-	return rep
 }
 
 // ReplayPath loads a recording file (or a directory of rotated files)

@@ -1,8 +1,12 @@
 package datacache
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -228,6 +232,129 @@ func TestReplayRefusesV1Recording(t *testing.T) {
 		_, err := ReplayPath(path, nil)
 		if err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
 			t.Errorf("ReplayPath(%s) = %v, want the unsupported format version error", path, err)
+		}
+	}
+}
+
+// TestReplayMixedPoliciesPanel replays, with a shadow panel, one
+// recording that holds an sc session and a hybrid session; the hybrid
+// runs a built-in sc shadow the sc session does not. The panel merges
+// the two sessions' reports by (policy, live): one live line per live
+// policy, each at its session's cost, and the hybrid's sc shadow apart
+// from the sc live line, every ratio over the hindsight optimum.
+func TestReplayMixedPoliciesPanel(t *testing.T) {
+	dir := t.TempDir()
+	w, err := recorder.NewWriter(recorder.Options{Dir: dir, Source: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveCost := map[string]float64{}
+	for i, policy := range []string{"sc", "hybrid:horizon=8,order=2"} {
+		sess, err := NewSession(4, 1, CostModel{Mu: 1, Lambda: 2}, &SessionOptions{
+			Policy: policy, Recorder: w, RecordSession: fmt.Sprintf("sn-%d", i+1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		tm := 0.0
+		for j := 0; j < 200; j++ {
+			tm += rng.ExpFloat64()
+			if _, err := sess.Serve(ServerID(rng.Intn(4)+1), tm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		liveCost[policy] = sess.Cost()
+		if _, err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayPath(dir, &ReplayOptions{Shadows: []string{"migrate"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.BitwiseOK || rep.ShadowPanel == nil {
+		t.Fatalf("bitwise %v, panel %+v", rep.BitwiseOK, rep.ShadowPanel)
+	}
+	type key struct {
+		policy string
+		live   bool
+	}
+	var keys []key
+	best := 0
+	for _, st := range rep.ShadowPanel.Standings {
+		keys = append(keys, key{st.Policy, st.Live})
+		if st.Live && math.Float64bits(st.Cost) != math.Float64bits(liveCost[st.Policy]) {
+			t.Errorf("live %s line cost %v, session cost %v", st.Policy, st.Cost, liveCost[st.Policy])
+		}
+		if r := st.Cost / rep.HindsightOpt; math.Float64bits(st.CostOverOptimum) != math.Float64bits(r) {
+			t.Errorf("%s line ratio %v, want cost over hindsight optimum %v", st.Policy, st.CostOverOptimum, r)
+		}
+		if st.Best {
+			best++
+		}
+	}
+	want := []key{{"sc", true}, {"migrate", false}, {"hybrid:horizon=8,order=2", true}, {"sc", false}}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("panel lines %v, want %v", keys, want)
+	}
+	if best != 1 {
+		t.Errorf("%d lines marked best, want 1", best)
+	}
+}
+
+// TestReplayTotalsAreDeterministic replays one recording that holds many
+// keys again and again: every report, totals and rollups included, must
+// come out bit for bit the same whatever order Go's maps visit the keys.
+func TestReplayTotalsAreDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	w, err := recorder.NewWriter(recorder.Options{Dir: dir, Source: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(4, 1, CostModel{Mu: 1, Lambda: 1.7}, &PoolOptions{
+		Session: SessionOptions{Recorder: w, RecordSession: "pl-1"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	tm := 0.0
+	for i := 0; i < 800; i++ {
+		tm += rng.ExpFloat64()
+		tenant := fmt.Sprintf("t%d", rng.Intn(3))
+		item := fmt.Sprintf("item-%d", rng.Intn(8))
+		if _, err := pool.Serve(tenant, item, ServerID(rng.Intn(4)+1), tm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := recorder.ReadPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for i := 0; i < 40; i++ {
+		rep, err := Replay(recs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("replay %d differs from the first:\n%s\nfirst:\n%s", i, got, first)
 		}
 	}
 }

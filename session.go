@@ -93,8 +93,10 @@ type SessionOptions struct {
 	// lockstep with live serving on private copies of the cluster state,
 	// accumulating what each would have paid on exactly this traffic.
 	// Build the slice with WithShadowPolicies(specs...); read the
-	// standings via Shadows / ShadowReport. At most engine.MaxShadows
-	// policies; labels must be unique and differ from the live policy's.
+	// standings via ShadowReport. At most engine.MaxShadows
+	// policies; labels must be unique among the shadows, and one may
+	// repeat the live policy's label (the self-check, reported on a line
+	// of its own).
 	ShadowPolicies []PolicySpec
 	// ShadowWindow sets the rolling cost window (requests) behind the
 	// shadow-vs-live windowed comparison. Zero falls back to SLOWindow,

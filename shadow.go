@@ -37,7 +37,7 @@ type ShadowTotals = engine.ShadowTotals
 type ShadowStanding struct {
 	Policy          string  `json:"policy"`
 	Live            bool    `json:"live,omitempty"` // the policy actually serving
-	Best            bool    `json:"best,omitempty"` // minimum-cost line
+	Best            bool    `json:"best,omitempty"` // the line the Best rule picks
 	Cost            float64 `json:"cost"`
 	CostOverOptimum float64 `json:"costOverOptimum"`
 	WindowedCost    float64 `json:"windowedCost"`
@@ -49,12 +49,14 @@ type ShadowStanding struct {
 }
 
 // ShadowReport is the full counterfactual readout: every policy's
-// standing (live first), the best policy's label, and the
-// shadow_beats_live alert when the margin rule is enabled.
+// standing (a Session's or Pool's live line first), the best line's
+// label, and the shadow_beats_live alert when the margin rule is
+// enabled. The cheapest line is best; the live line wins a tie, and a
+// shadow that has errored is never best.
 type ShadowReport struct {
 	Window    int              `json:"window"` // rolling cost window (requests)
 	Margin    float64          `json:"margin"` // alert margin (< 0: alert disabled)
-	Best      string           `json:"best"`   // label of the minimum-cost policy
+	Best      string           `json:"best"`   // label of the best line
 	Standings []ShadowStanding `json:"standings"`
 	Alert     *Alert           `json:"alert,omitempty"`
 }
@@ -161,29 +163,10 @@ func (s *Session) ShadowNames() []string {
 	return s.shadows.Names()
 }
 
-// ShadowCostLive returns shadow i's running cost, priced exactly as Cost
-// prices the live policy: in O(M), and bit for bit the live cost when the
-// shadow runs the live policy's own decider.
-func (s *Session) ShadowCostLive(i int) float64 { return s.shadows.Cost(i) }
-
-// ShadowTotals returns shadow i's accumulator readout, its cost as
-// ShadowCostLive reports it — what Pool eviction folds into its retained
-// accounting.
+// ShadowTotals returns shadow i's accumulator readout, its cost priced
+// exactly as Cost prices the live policy: in O(M), and bit for bit the
+// live cost when the shadow runs the live policy's own decider.
 func (s *Session) ShadowTotals(i int) ShadowTotals { return s.shadows.Totals(i) }
-
-// ShadowWindowedCosts reports the rolling windowed cost of the live
-// policy and each shadow (indexed like ShadowNames); nil without
-// shadows.
-func (s *Session) ShadowWindowedCosts() (live float64, shadows []float64) {
-	if s.shadows == nil {
-		return 0, nil
-	}
-	out := make([]float64, s.shadows.Len())
-	for i := range out {
-		out[i] = s.shadows.WindowedCost(i)
-	}
-	return s.shadows.LiveWindowedCost(), out
-}
 
 // ShadowAlert returns the shadow_beats_live rule's standing, or false
 // when the session runs no shadows or the margin rule is disabled.
@@ -248,59 +231,123 @@ func (s *Session) ShadowReport() *ShadowReport {
 	if s.shadows == nil {
 		return nil
 	}
-	opt := s.OptimalCost()
-	rep := &ShadowReport{
-		Window:    s.shadowWindow,
-		Margin:    s.shadowMargin,
-		Standings: make([]ShadowStanding, 0, s.shadows.Len()+1),
-	}
-	rep.Standings = append(rep.Standings, ShadowStanding{
-		Policy:          s.policy,
-		Live:            true,
-		Cost:            s.Cost(),
-		CostOverOptimum: ratioOf(s.Cost(), opt),
-		WindowedCost:    s.shadows.LiveWindowedCost(),
-		Hits:            s.Hits(),
-		Transfers:       s.Transfers(),
-		Drops:           s.stream.Drops(),
+	lg := make(shadowLedger, 0, s.shadows.Len()+1)
+	lg = append(lg, ShadowStanding{
+		Policy:       s.policy,
+		Live:         true,
+		Cost:         s.Cost(),
+		WindowedCost: s.shadows.LiveWindowedCost(),
+		Hits:         s.Hits(),
+		Transfers:    s.Transfers(),
+		Drops:        s.stream.Drops(),
 	})
-	for i := 0; i < s.shadows.Len(); i++ {
+	for i, name := range s.shadows.Names() {
+		tot := s.shadows.Totals(i)
 		st := ShadowStanding{
-			Policy:          s.shadows.Names()[i],
-			Cost:            s.shadows.Cost(i),
-			CostOverOptimum: ratioOf(s.shadows.Cost(i), opt),
-			WindowedCost:    s.shadows.WindowedCost(i),
-			Hits:            s.shadows.Hits(i),
-			Transfers:       s.shadows.Transfers(i),
-			Drops:           s.shadows.Drops(i),
-			Divergence:      s.shadows.Divergence(i),
+			Policy:       name,
+			Cost:         tot.Cost,
+			WindowedCost: s.shadows.WindowedCost(i),
+			Hits:         tot.Hits,
+			Transfers:    tot.Transfers,
+			Drops:        tot.Drops,
+			Divergence:   tot.Divergence,
 		}
 		if err := s.shadows.Err(i); err != nil {
 			st.Err = err.Error()
 		}
-		rep.Standings = append(rep.Standings, st)
+		lg = append(lg, st)
 	}
-	best := 0
-	for i := 1; i < len(rep.Standings); i++ {
-		if rep.Standings[i].Err == "" && rep.Standings[i].Cost < rep.Standings[best].Cost {
-			best = i
-		}
-	}
-	rep.Standings[best].Best = true
-	rep.Best = rep.Standings[best].Policy
+	rep := lg.report(s.shadowWindow, s.shadowMargin, s.OptimalCost())
 	if a, ok := s.ShadowAlert(); ok {
 		rep.Alert = &a
 	}
 	return rep
 }
 
-// Shadows returns the counterfactual standings — the live policy first,
-// then every shadow in option order, with Best marking the minimum-cost
-// line — or nil when the session runs no shadows.
-func (s *Session) Shadows() []ShadowStanding {
-	rep := s.ShadowReport()
-	if rep == nil {
+// shadowLedger is the counterfactual leaderboard behind every shadow
+// readout: Session and Pool reports, Replay's panel, the dc_shadow_* and
+// dc_pool_shadow_* gauges and dcload's table. Its lines are additive
+// (cost, windowed cost, hits, transfers, drops, divergence; the first
+// error sticks), and a line is identified by its (label, live) pair, so
+// a self-check shadow that shares the live policy's label keeps a line
+// of its own.
+type shadowLedger []ShadowStanding
+
+// add folds line into the ledger's line with the same (label, live)
+// pair, or appends it as a new line.
+func (lg *shadowLedger) add(line ShadowStanding) {
+	for i := range *lg {
+		if l := &(*lg)[i]; l.Policy == line.Policy && l.Live == line.Live {
+			l.accumulate(line)
+			return
+		}
+	}
+	*lg = append(*lg, line)
+}
+
+// accumulate adds o's additive fields into s; s keeps its own error
+// when it has one.
+func (s *ShadowStanding) accumulate(o ShadowStanding) {
+	s.Cost += o.Cost
+	s.WindowedCost += o.WindowedCost
+	s.Hits += o.Hits
+	s.Transfers += o.Transfers
+	s.Drops += o.Drops
+	s.Divergence += o.Divergence
+	if s.Err == "" {
+		s.Err = o.Err
+	}
+}
+
+// report ranks the ledger into a report that takes over its lines. Each
+// line's CostOverOptimum becomes its cost over optimum, and the one Best
+// rule marks the winner: the cheapest line wins, the live line wins a
+// tie, and a shadow that has errored never wins.
+func (lg shadowLedger) report(window int, margin, optimum float64) *ShadowReport {
+	best := -1
+	for i := range lg {
+		l := &lg[i]
+		l.CostOverOptimum = ratioOf(l.Cost, optimum)
+		l.Best = false
+		if l.Err != "" {
+			continue
+		}
+		if best < 0 || l.Cost < lg[best].Cost || l.Cost == lg[best].Cost && l.Live && !lg[best].Live {
+			best = i
+		}
+	}
+	rep := &ShadowReport{Window: window, Margin: margin, Standings: lg}
+	if best >= 0 {
+		lg[best].Best = true
+		rep.Best = lg[best].Policy
+	}
+	return rep
+}
+
+// MergeShadowReports folds the shadow reports of several sessions or
+// streams into one leaderboard. Lines with the same (policy, live) pair
+// add up, so a self-check shadow stays apart from the live line it
+// shadows, and lines keep the order they first appear in. Each merged
+// line's CostOverOptimum is recomputed as its merged cost over optimum,
+// the optimum of the merged traffic, and the Best rule is applied anew.
+// Window and Margin are the first report's; the merge carries no alert.
+// Nil reports are skipped; with none left the result is nil.
+func MergeShadowReports(optimum float64, reports ...*ShadowReport) *ShadowReport {
+	var lg shadowLedger
+	var first *ShadowReport
+	for _, r := range reports {
+		if r == nil {
+			continue
+		}
+		if first == nil {
+			first = r
+		}
+		for _, line := range r.Standings {
+			lg.add(line)
+		}
+	}
+	if first == nil {
 		return nil
 	}
-	return rep.Standings
+	return lg.report(first.Window, first.Margin, optimum)
 }

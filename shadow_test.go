@@ -100,8 +100,8 @@ func TestShadowSelfEquivalence(t *testing.T) {
 					}
 					// The per-serve shadow feed is the same ledger read as
 					// Session.Cost, so it agrees bit for bit too.
-					if got, want := sess.ShadowCostLive(0), sess.Cost(); math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("%s/batch=%v: twin ShadowCostLive %v != Session.Cost %v (must be bitwise equal)", wl.name, batch, got, want)
+					if got, want := sess.ShadowTotals(0).Cost, sess.Cost(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s/batch=%v: twin ShadowTotals cost %v != Session.Cost %v (must be bitwise equal)", wl.name, batch, got, want)
 					}
 				}
 			}
@@ -254,9 +254,6 @@ func TestShadowReportStandings(t *testing.T) {
 			}
 		}
 	}
-	if sess.Shadows() == nil {
-		t.Error("Shadows() returned nil on a shadowed session")
-	}
 }
 
 // TestShadowBeatsLiveAlert drives a live policy that a shadow clearly
@@ -359,10 +356,6 @@ func TestPoolShadowAggregation(t *testing.T) {
 	if len(names) != 2 || names[0] != "sc" {
 		t.Fatalf("pool ShadowNames = %v", names)
 	}
-	costs := pool.ShadowCosts()
-	if math.Abs(costs[0]-pool.Cost()) > 1e-9 {
-		t.Errorf("pool twin-shadow cost %v != pool cost %v (must survive eviction)", costs[0], pool.Cost())
-	}
 	rep := pool.ShadowReport()
 	if rep == nil {
 		t.Fatal("nil pool shadow report")
@@ -395,9 +388,6 @@ func TestPoolShadowAggregation(t *testing.T) {
 	if twin.Hits == 0 || twin.Transfers == 0 {
 		t.Errorf("twin hits/transfers %d/%d, want both > 0", twin.Hits, twin.Transfers)
 	}
-	if pool.Shadows() == nil {
-		t.Error("Pool.Shadows() returned nil on a shadowed pool")
-	}
 
 	// A pool without shadows reports nothing.
 	plain, err := datacache.NewPool(4, 1, datacache.Unit, nil)
@@ -406,5 +396,107 @@ func TestPoolShadowAggregation(t *testing.T) {
 	}
 	if plain.ShadowReport() != nil || plain.ShadowNames() != nil {
 		t.Error("plain pool should have no shadow report")
+	}
+}
+
+// TestShadowBestRule pins the one Best rule every shadow readout uses,
+// through the merge that applies it anew: the cheapest line wins, the
+// live line wins a tie wherever it is listed, tied shadows go to the
+// first listed, and a shadow that has errored never wins.
+func TestShadowBestRule(t *testing.T) {
+	type line struct {
+		policy string
+		live   bool
+		cost   float64
+		err    string
+	}
+	cases := []struct {
+		name  string
+		lines []line
+		best  int // index of the winning line, -1 for none
+	}{
+		{"cheapest shadow", []line{{"sc", true, 10, ""}, {"migrate", false, 8, ""}, {"replicate", false, 9, ""}}, 1},
+		{"cheapest live", []line{{"sc", true, 7, ""}, {"migrate", false, 8, ""}}, 0},
+		{"live wins a tie", []line{{"sc", true, 8, ""}, {"migrate", false, 8, ""}}, 0},
+		{"live listed last wins a tie", []line{{"migrate", false, 8, ""}, {"sc", true, 8, ""}}, 1},
+		{"self-check twin ties its live line", []line{{"sc", false, 8, ""}, {"sc", true, 8, ""}}, 1},
+		{"first of tied shadows", []line{{"sc", true, 10, ""}, {"migrate", false, 8, ""}, {"replicate", false, 8, ""}}, 1},
+		{"errored shadow never wins", []line{{"sc", true, 10, ""}, {"migrate", false, 1, "boom"}}, 0},
+		{"every line errored", []line{{"migrate", false, 1, "boom"}}, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := &datacache.ShadowReport{}
+			for _, l := range tc.lines {
+				// A stale Best flag must not survive the rule.
+				in.Standings = append(in.Standings, datacache.ShadowStanding{
+					Policy: l.policy, Live: l.live, Cost: l.cost, Err: l.err, Best: true,
+				})
+			}
+			rep := datacache.MergeShadowReports(2, in)
+			wantLabel := ""
+			if tc.best >= 0 {
+				wantLabel = tc.lines[tc.best].policy
+			}
+			if rep.Best != wantLabel {
+				t.Errorf("Best = %q, want %q", rep.Best, wantLabel)
+			}
+			for i, st := range rep.Standings {
+				if st.Best != (i == tc.best) {
+					t.Errorf("line %d (%s, live %v): Best %v, want %v", i, st.Policy, st.Live, st.Best, i == tc.best)
+				}
+			}
+		})
+	}
+}
+
+// TestMergeShadowReports merges two sessions' reports, each running the
+// live policy's own label as a self-check shadow: the twin line stays
+// apart from the live line, every additive field sums, and each merged
+// ratio is the merged cost over the merged optimum.
+func TestMergeShadowReports(t *testing.T) {
+	cm := datacache.CostModel{Mu: 1, Lambda: 2}
+	var reps []*datacache.ShadowReport
+	opt := 0.0
+	for seed := int64(1); seed <= 2; seed++ {
+		sess, err := datacache.NewSession(5, 1, cm, &datacache.SessionOptions{
+			ShadowPolicies: mustShadows(t, "sc", "migrate"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := randomSequence(rand.New(rand.NewSource(seed)), 5, 60)
+		if _, err := sess.ServeBatch(context.Background(), seq.Requests); err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, sess.ShadowReport())
+		opt += sess.OptimalCost()
+	}
+	got := datacache.MergeShadowReports(opt, reps...)
+	if len(got.Standings) != 3 {
+		t.Fatalf("merged standings %+v, want the live sc line, its sc twin and migrate", got.Standings)
+	}
+	a, b := reps[0].Standings, reps[1].Standings
+	for i, st := range got.Standings {
+		if st.Policy != a[i].Policy || st.Live != a[i].Live {
+			t.Fatalf("line %d is (%s, live %v), want (%s, live %v)", i, st.Policy, st.Live, a[i].Policy, a[i].Live)
+		}
+		if cost := a[i].Cost + b[i].Cost; math.Float64bits(st.Cost) != math.Float64bits(cost) {
+			t.Errorf("%s: merged cost %v, want %v", st.Policy, st.Cost, cost)
+		}
+		if r := st.Cost / opt; math.Float64bits(st.CostOverOptimum) != math.Float64bits(r) {
+			t.Errorf("%s: merged ratio %v, want merged cost over merged optimum %v", st.Policy, st.CostOverOptimum, r)
+		}
+		if st.WindowedCost != a[i].WindowedCost+b[i].WindowedCost || st.Hits != a[i].Hits+b[i].Hits ||
+			st.Transfers != a[i].Transfers+b[i].Transfers || st.Drops != a[i].Drops+b[i].Drops ||
+			st.Divergence != a[i].Divergence+b[i].Divergence {
+			t.Errorf("%s: merged line %+v is not the sum of %+v and %+v", st.Policy, st, a[i], b[i])
+		}
+	}
+	if live, twin := got.Standings[0], got.Standings[1]; !live.Live || twin.Live || twin.Cost != live.Cost {
+		t.Errorf("live line %+v and self-check line %+v: want apart and of equal cost", live, twin)
+	}
+	if datacache.MergeShadowReports(opt) != nil || datacache.MergeShadowReports(opt, nil) != nil {
+		t.Error("merging no reports must give nil")
 	}
 }
