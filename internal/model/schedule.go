@@ -219,10 +219,12 @@ func (s *Schedule) Validate(seq *Sequence) error {
 		}
 	}
 
-	// 2: provenance of each maximal interval.
+	// 2: provenance of each maximal interval. One that starts within
+	// timeEps of 0 is the origin's, or else a copy delivered by a
+	// transfer at a request that early.
 	for _, h := range norm.Caches {
 		if h.From <= timeEps {
-			if h.Server != seq.Origin {
+			if h.Server != seq.Origin && !norm.transferNear(h.Server, h.From) {
 				return fmt.Errorf("model: cache on server %d starts at t=0 but the origin is %d", h.Server, seq.Origin)
 			}
 			continue

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +25,9 @@ import (
 //     match the single-request DTO.
 //   - NDJSON (Content-Type: application/x-ndjson): one {"server", "t"}
 //     object per line, the streaming shape a forwarder naturally emits.
+//
+// Every shape is read through one 64 MiB bound, and every shape refuses
+// unknown fields and anything but whitespace after the body (codec.go).
 //
 // Failure is partial, mirroring datacache.Session.ServeBatch: the first
 // request the engine rejects stops the batch; the reply reports the
@@ -90,39 +94,67 @@ type batchBody[T any] interface{ items() []T }
 func (b SessionBatchRequest) items() []BatchRequestItem  { return b.Requests }
 func (b PoolBatchRequestBody) items() []PoolServeRequest { return b.Requests }
 
-// decodeBatch parses a session or pool batch body in any of its three
-// accepted shapes: the JSON object B, a bare array of T, or NDJSON.
-func decodeBatch[B batchBody[T], T any](r *http.Request) ([]T, error) {
-	if ct := r.Header.Get("Content-Type"); strings.Contains(ct, "ndjson") {
-		return decodeNDJSON[T](r.Body)
+// decodeBatch reads a session or pool batch body, in any of its three
+// shapes, through the one 64 MiB bound. A body in the scanner's
+// canonical grammar is scanned straight from its bytes; every other
+// body, every rejected one included, goes through decodeBatchJSON.
+func decodeBatch[B batchBody[T], T any, P batchItem[T]](w http.ResponseWriter, r *http.Request) ([]T, error) {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := readBatchBody(w, r, buf); err != nil {
+		return nil, err
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26)) // 64 MiB guard
-	if err != nil {
-		return nil, fmt.Errorf("reading batch body: %w", err)
+	ndjson := strings.Contains(r.Header.Get("Content-Type"), "ndjson")
+	if items, ok := scanBatch[T, P](buf.b, ndjson); ok {
+		return items, nil
 	}
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "[") {
+	return decodeBatchJSON[B](buf.b, ndjson)
+}
+
+// decodeBatchJSON reads a batch body with encoding/json: the JSON object
+// B, a bare array of T, or (ndjson) a stream of T. In every shape it
+// refuses unknown fields and anything but whitespace after the body.
+func decodeBatchJSON[B batchBody[T], T any](body []byte, ndjson bool) ([]T, error) {
+	if ndjson {
+		return decodeNDJSON[T](body)
+	}
+	if bytes.HasPrefix(bytes.TrimLeft(body, " \t\r\n"), []byte("[")) {
 		var items []T
-		if err := json.Unmarshal(body, &items); err != nil {
+		if err := decodeValue(body, &items); err != nil {
 			return nil, fmt.Errorf("bad batch array: %w", err)
 		}
 		return items, nil
 	}
 	var req B
-	dec := json.NewDecoder(strings.NewReader(trimmed))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeValue(body, &req); err != nil {
 		return nil, fmt.Errorf("bad batch body: %w", err)
 	}
 	return req.items(), nil
 }
 
-// decodeNDJSON reads one T per line. json.Decoder handles the framing
+// decodeValue decodes the one JSON value data holds into v, refusing
+// unknown fields and anything but whitespace after the value.
+func decodeValue(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		// The syntax check reports what follows the value: "invalid
+		// character 'x' after top-level value".
+		return json.Unmarshal(data, new(json.RawMessage))
+	}
+	return nil
+}
+
+// decodeNDJSON reads one T per value. json.Decoder handles the framing
 // itself (values are self-delimiting), so blank lines and ordinary
 // newlines both work.
-func decodeNDJSON[T any](body io.Reader) ([]T, error) {
+func decodeNDJSON[T any](body []byte) ([]T, error) {
 	var items []T
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
 	for {
 		var item T
 		if err := dec.Decode(&item); err != nil {
@@ -142,7 +174,7 @@ func decodeNDJSON[T any](body io.Reader) ([]T, error) {
 // has resolved the entry; this handler owns budget admission, locking and
 // the reply.
 func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request, id string, entry *sessionEntry) {
-	items, err := decodeBatch[SessionBatchRequest](r)
+	items, err := decodeBatch[SessionBatchRequest](w, r)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
@@ -224,30 +256,9 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request, id s
 			}
 		}
 	}
-	resp := SessionBatchResponse{
-		ID:            id,
-		N:             n,
-		Applied:       len(res.Decisions),
-		FirstRejected: res.FirstRejected,
-		RejectReason:  res.RejectReason,
-		Decisions:     make([]BatchDecision, len(res.Decisions)),
-		Cost:          res.Cost,
-		Optimal:       res.Optimal,
-		Ratio:         res.Ratio,
-	}
-	for i, d := range res.Decisions {
-		resp.Decisions[i] = BatchDecision{
-			Server:  d.Server,
-			Time:    d.Time,
-			Hit:     d.Hit,
-			From:    d.From,
-			Cost:    d.Cost,
-			Optimal: d.Optimal,
-			Ratio:   d.Ratio,
-			Regret:  d.Regret,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := getBuffer()
+	buf.b, err = appendSessionBatch(buf.b, id, n, res)
+	s.sendReply(w, r, http.StatusOK, buf, err)
 }
 
 // partitionEvents attributes a batch's decision-event stream to its

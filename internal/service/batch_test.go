@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -225,16 +226,27 @@ func TestBatchBodyShapes(t *testing.T) {
 func TestBatchMalformedBodies(t *testing.T) {
 	ts := newTestServer(t)
 	st := createFig6Session(t, ts)
-	for name, body := range map[string]string{
-		"not json":      `,,,`,
-		"unknown field": `{"requestz": []}`,
-		"bad ndjson":    `{"server": 1, "t": 1}` + "\n" + `nope`,
+	for name, body := range map[string]io.Reader{
+		"not json":      strings.NewReader(`,,,`),
+		"unknown field": strings.NewReader(`{"requestz": []}`),
+		"bad ndjson":    strings.NewReader(`{"server": 1, "t": 1}` + "\n" + `nope`),
+		// Every shape refuses bytes after the body and unknown item fields.
+		"trailing bytes after the object":  strings.NewReader(`{"requests":[{"server":2,"t":1}]} garbage`),
+		"trailing bytes after the array":   strings.NewReader(`[{"server":2,"t":1}] garbage`),
+		"trailing bytes in ndjson":         strings.NewReader(`{"server":2,"t":1}` + "\n" + `garbage`),
+		"unknown item field in the object": strings.NewReader(`{"requests":[{"server":2,"t":1,"bogus":1}]}`),
+		"unknown item field in the array":  strings.NewReader(`[{"server":2,"t":1,"bogus":1}]`),
+		"unknown item field in ndjson":     strings.NewReader(`{"server":2,"t":1,"bogus":1}` + "\n"),
+		// One valid request padded past the 64 MiB bound, in each shape.
+		"oversized object": padded(`{"requests":[{"server":2,"t":1}`, `]}`),
+		"oversized array":  padded(`[{"server":2,"t":1}`, `]`),
+		"oversized ndjson": padded(`{"server":2,"t":1}`, "\n"),
 	} {
 		ct := "application/json"
 		if strings.Contains(name, "ndjson") {
 			ct = "application/x-ndjson"
 		}
-		resp, err := http.Post(ts.URL+"/v1/session/"+st.ID+"/requests", ct, strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/session/"+st.ID+"/requests", ct, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,6 +255,9 @@ func TestBatchMalformedBodies(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != CodeBadRequest {
 			t.Errorf("%s: status %d code %q", name, resp.StatusCode, envelope.Error.Code)
+		}
+		if strings.HasPrefix(name, "oversized") && !strings.Contains(envelope.Error.Message, "64 MiB") {
+			t.Errorf("%s: message %q does not name the 64 MiB bound", name, envelope.Error.Message)
 		}
 	}
 	// The session is untouched by the malformed attempts.
@@ -350,6 +365,23 @@ func TestBatchMetrics(t *testing.T) {
 	if !strings.Contains(text, "dc_registry_shard_sessions") {
 		t.Error("per-shard session gauges missing from /metrics")
 	}
+}
+
+// padded returns a body of prefix, then one byte more than the 64 MiB
+// batch-body bound of spaces, then suffix, generated as it is read.
+func padded(prefix, suffix string) io.Reader {
+	return io.MultiReader(strings.NewReader(prefix),
+		io.LimitReader(spaces{}, maxBatchBody+1), strings.NewReader(suffix))
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 func grepLines(text, needle string) string {

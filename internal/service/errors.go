@@ -91,5 +91,5 @@ func (s *Server) httpErrorCode(w http.ResponseWriter, r *http.Request, status in
 		slog.String("code", string(code)),
 		slog.String("error", err.Error()),
 	)
-	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: err.Error(), RequestID: id}})
+	s.writeJSON(w, r, status, ErrorBody{Error: ErrorDetail{Code: code, Message: err.Error(), RequestID: id}})
 }

@@ -222,5 +222,5 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	if qs.Get("annotations") != "false" {
 		resp.Annotations = s.history.Annotations(start, end)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, r, http.StatusOK, resp)
 }

@@ -278,7 +278,7 @@ func (s *Server) handlePoolCreate(w http.ResponseWriter, r *http.Request) {
 	s.pools.put(id, &poolEntry{lk: newEntryLock(), pool: pool})
 	s.poolsOpen.Add(1)
 	w.Header().Set("Location", "/v1/pool/"+id)
-	writeJSON(w, http.StatusCreated, poolState(id, pool))
+	s.writeJSON(w, r, http.StatusCreated, poolState(id, pool))
 }
 
 // poolObserver feeds every per-item decision event into the kind-labeled
@@ -349,7 +349,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.decisionSec.Observe(elapsed.Seconds())
 		}
-		writeJSON(w, http.StatusOK, poolDecisionDTO(id, d))
+		s.writeJSON(w, r, http.StatusOK, poolDecisionDTO(id, d))
 	case op == "requests" && r.Method == http.MethodPost:
 		s.handlePoolBatch(w, r, id, entry)
 	case op == "record" && r.Method == http.MethodGet:
@@ -360,7 +360,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		}
 		state := poolState(id, entry.pool)
 		entry.lk.unlock()
-		writeJSON(w, http.StatusOK, state)
+		s.writeJSON(w, r, http.StatusOK, state)
 	case op == "items" && r.Method == http.MethodGet:
 		by, limit, err := parseItemsQuery(r.URL.Query())
 		if err != nil {
@@ -383,7 +383,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		if by == "" {
 			by = "cost"
 		}
-		writeJSON(w, http.StatusOK, PoolItemsResponse{ID: id, By: by, Total: total, Items: items})
+		s.writeJSON(w, r, http.StatusOK, PoolItemsResponse{ID: id, By: by, Total: total, Items: items})
 	case op == "shadow" && r.Method == http.MethodGet:
 		if !s.lockEntry(w, r, "pool", entry.lk) {
 			return
@@ -395,7 +395,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, r, http.StatusNotFound, fmt.Errorf("pool %q has no shadow policies", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, PoolShadowResponse{
+		s.writeJSON(w, r, http.StatusOK, PoolShadowResponse{
 			ID:           id,
 			Policy:       entry.pool.Policy(),
 			N:            state.N,
@@ -419,7 +419,7 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 			s.poolsOpen.Add(-1)
 			s.dropPoolGauges(id, entry)
 		}
-		writeJSON(w, http.StatusOK, state)
+		s.writeJSON(w, r, http.StatusOK, state)
 	default:
 		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown pool operation %q %s", op, r.Method))
 	}
@@ -447,7 +447,7 @@ func parseItemsQuery(q url.Values) (by string, limit int, err error) {
 // multi-item batch under ONE entry-lock acquisition, grouped by item
 // inside the pool, with per-item partial-failure semantics.
 func (s *Server) handlePoolBatch(w http.ResponseWriter, r *http.Request, id string, entry *poolEntry) {
-	items, err := decodeBatch[PoolBatchRequestBody](r)
+	items, err := decodeBatch[PoolBatchRequestBody](w, r)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
@@ -517,20 +517,7 @@ func (s *Server) handlePoolBatch(w http.ResponseWriter, r *http.Request, id stri
 			}
 		}
 	}
-	resp := PoolBatchResponse{
-		ID:            id,
-		N:             n,
-		Applied:       len(res.Decisions),
-		FirstRejected: res.FirstRejected,
-		RejectReason:  res.RejectReason,
-		Rejected:      res.Rejected,
-		Decisions:     make([]PoolDecisionDTO, len(res.Decisions)),
-		Cost:          res.Cost,
-		Optimal:       res.Optimal,
-		Ratio:         res.Ratio,
-	}
-	for i, d := range res.Decisions {
-		resp.Decisions[i] = poolDecisionDTO(id, d)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := getBuffer()
+	buf.b, err = appendPoolBatch(buf.b, id, n, res)
+	s.sendReply(w, r, http.StatusOK, buf, err)
 }

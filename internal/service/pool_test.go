@@ -274,6 +274,37 @@ func TestPoolBadInputs(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad server status %d, want 400", resp.StatusCode)
 	}
+
+	// Every batch shape refuses bytes after the body and unknown item
+	// fields, and applies nothing.
+	for name, body := range map[string]string{
+		"trailing bytes after the object":  `{"requests":[{"item":"x","server":2,"t":1}]} garbage`,
+		"trailing bytes after the array":   `[{"item":"x","server":2,"t":1}] garbage`,
+		"trailing bytes in ndjson":         `{"item":"x","server":2,"t":1}` + "\n" + `garbage`,
+		"unknown item field in the object": `{"requests":[{"item":"x","server":2,"t":1,"bogus":1}]}`,
+		"unknown item field in the array":  `[{"item":"x","server":2,"t":1,"bogus":1}]`,
+		"unknown item field in ndjson":     `{"item":"x","server":2,"t":1,"bogus":1}` + "\n",
+	} {
+		ct := "application/json"
+		if strings.Contains(name, "ndjson") {
+			ct = "application/x-ndjson"
+		}
+		resp, err := http.Post(ts.URL+"/v1/pool/"+pool.ID+"/requests", ct, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope ErrorBody
+		json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != CodeBadRequest {
+			t.Errorf("%s: status %d code %q", name, resp.StatusCode, envelope.Error.Code)
+		}
+	}
+	var state PoolState
+	getJSON(t, ts.URL+"/v1/pool/"+pool.ID, &state)
+	if state.N != 0 {
+		t.Errorf("pool advanced to n=%d by rejected batch bodies", state.N)
+	}
 }
 
 // TestPoolHammer drives one pool from many goroutines (the -race pool

@@ -155,6 +155,43 @@ func BenchmarkServePoolChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkServeSessionBatch serves 64-request batches into SC sessions
+// of 2048 requests, opening the next session (untimed) once one is
+// full: the perfbench session-long warm-up shape. One op is one batch.
+func BenchmarkServeSessionBatch(b *testing.B) {
+	const perSession, batch = 2048, 64
+	s := New()
+	seq := workload.Zipf{M: 16, S: 1.2, MeanGap: 0.5}.Generate(rand.New(rand.NewSource(1)), perSession)
+	var bodies [][]byte
+	for i := 0; i < perSession; i += batch {
+		var req SessionBatchRequest
+		for _, r := range seq.Requests[i : i+batch] {
+			req.Requests = append(req.Requests, BatchRequestItem{Server: r.Server, T: r.Time})
+		}
+		body, _ := json.Marshal(req)
+		bodies = append(bodies, body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st SessionState
+	var path string
+	for i := 0; i < b.N; i++ {
+		j := i % len(bodies)
+		if j == 0 {
+			b.StopTimer()
+			if st.ID != "" {
+				call(s, http.MethodDelete, "/v1/session/"+st.ID, nil)
+			}
+			create(b, s, "/v1/session", SessionCreateRequest{M: 16, Origin: 1, Model: benchModel}, &st)
+			path = "/v1/session/" + st.ID + "/requests"
+			b.StartTimer()
+		}
+		if code := call(s, http.MethodPost, path, bodies[j]); code != http.StatusOK {
+			b.Fatalf("batch: status %d", code)
+		}
+	}
+}
+
 // openSessions opens n SC sessions of four requests each.
 func openSessions(b *testing.B, s *Server, n int) {
 	seq := workload.Zipf{M: 16, S: 1.2, MeanGap: 0.5}.Generate(rand.New(rand.NewSource(1)), 4)

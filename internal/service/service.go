@@ -60,7 +60,7 @@ import (
 )
 
 // Version identifies the service build in /healthz and /v1/spec.
-const Version = "1.12.0"
+const Version = "1.13.0"
 
 // DefaultTraceCap bounds each session's decision-event ring unless
 // WithTraceCap overrides it.
@@ -557,7 +557,7 @@ func (s *Server) mount(route string, h http.HandlerFunc) {
 }
 
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, routeDocs)
+	s.writeJSON(w, r, http.StatusOK, routeDocs)
 }
 
 // handlePrometheus renders every registered metric, content-negotiating
@@ -650,7 +650,7 @@ type StreamAppendRequest struct {
 // --- Handlers ---
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "version": Version})
+	s.writeJSON(w, r, http.StatusOK, map[string]string{"status": "ok", "version": Version})
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
@@ -703,7 +703,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 // ExplainResponse is the /v1/explain reply: the optimal schedule's
@@ -733,7 +733,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ExplainResponse{
+	s.writeJSON(w, r, http.StatusOK, ExplainResponse{
 		Cost:      res.Cost(),
 		Decisions: ds,
 		Rendered:  offline.RenderDecisions(ds),
@@ -812,7 +812,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp.Ratio = 1
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -845,7 +845,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seq := gen.Generate(rand.New(rand.NewSource(req.Seed)), req.N)
-	writeJSON(w, http.StatusOK, seq)
+	s.writeJSON(w, r, http.StatusOK, seq)
 }
 
 // PlanRequest is the /v1/plan body: a catalog of item-tagged events.
@@ -902,11 +902,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			resp.Items[i].Online = serveReps[i].Stats.Cost
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, datacache.PolicyKinds())
+	s.writeJSON(w, r, http.StatusOK, datacache.PolicyKinds())
 }
 
 // --- plumbing ---
@@ -925,8 +925,26 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst interface{
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// writeJSON encodes v as the reply body with encoding/json and sends it
+// as sendReply does.
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}) {
+	buf := getBuffer()
+	err := json.NewEncoder(buf).Encode(v)
+	s.sendReply(w, r, status, buf, err)
+}
+
+// sendReply writes the status and the reply body encoded into buf, then
+// recycles buf. The body is encoded before the status is written, so a
+// value that cannot be encoded (encErr, from a non-finite float) is
+// answered 500 internal in the error envelope, never a 200 with an empty
+// body. The envelope holds only strings, so its own encoding cannot fail.
+func (s *Server) sendReply(w http.ResponseWriter, r *http.Request, status int, buf *buffer, encErr error) {
+	defer putBuffer(buf)
+	if encErr != nil {
+		s.httpError(w, r, http.StatusInternalServerError, fmt.Errorf("encoding the reply: %w", encErr))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.b) // fails only once the client is gone: no one is left to tell
 }

@@ -355,3 +355,49 @@ func TestHealthReportsVersion(t *testing.T) {
 		t.Errorf("version = %q, want %q", body["version"], Version)
 	}
 }
+
+// TestUnencodableReplyAnswersInternal: a cost that overflows to +Inf
+// cannot be written as JSON. Every reply that would carry it, single
+// serve, batch and state alike, answers 500 internal in the error
+// envelope, never a 200 with an empty body.
+func TestUnencodableReplyAnswersInternal(t *testing.T) {
+	ts := newTestServer(t)
+	cm := CostModelDTO{Mu: 10, Lambda: 1}
+	var sess SessionState
+	post(t, ts.URL+"/v1/session", SessionCreateRequest{M: 2, Origin: 1, Model: cm}, &sess)
+	var pool PoolState
+	post(t, ts.URL+"/v1/pool", PoolCreateRequest{M: 2, Origin: 1, Model: cm}, &pool)
+	for _, c := range []struct {
+		name, path string
+		body       interface{} // nil: GET
+	}{
+		{"session serve", "/v1/session/" + sess.ID + "/request", StreamAppendRequest{Server: 2, Time: 1e308}},
+		{"session batch", "/v1/session/" + sess.ID + "/requests",
+			SessionBatchRequest{Requests: []BatchRequestItem{{Server: 1, T: 1.2e308}}}},
+		{"session state", "/v1/session/" + sess.ID, nil},
+		{"pool serve", "/v1/pool/" + pool.ID + "/request", PoolServeRequest{Item: "a", Server: 2, T: 1e308}},
+		{"pool batch", "/v1/pool/" + pool.ID + "/requests",
+			PoolBatchRequestBody{Requests: []PoolServeRequest{{Item: "a", Server: 1, T: 1.2e308}}}},
+		{"pool state", "/v1/pool/" + pool.ID, nil},
+	} {
+		var resp *http.Response
+		var err error
+		if c.body == nil {
+			resp, err = http.Get(ts.URL + c.path)
+		} else {
+			buf, _ := json.Marshal(c.body)
+			resp, err = http.Post(ts.URL+c.path, "application/json", bytes.NewReader(buf))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope ErrorBody
+		decErr := json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || decErr != nil || envelope.Error.Code != CodeInternal ||
+			!strings.Contains(envelope.Error.Message, "json: unsupported value") {
+			t.Errorf("%s: status %d, envelope %+v (decode error %v), want 500 internal naming the value",
+				c.name, resp.StatusCode, envelope, decErr)
+		}
+	}
+}

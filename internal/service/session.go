@@ -430,7 +430,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.sessions.put(id, entry)
 	s.sessionsOpen.Add(1)
 	w.Header().Set("Location", "/v1/session/"+id)
-	writeJSON(w, http.StatusCreated, sessionState(id, sess))
+	s.writeJSON(w, r, http.StatusCreated, sessionState(id, sess))
 }
 
 // alertHook builds the transition hook every alert tracker of a session
@@ -557,7 +557,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.decisionSec.Observe(elapsed.Seconds())
 		}
-		writeJSON(w, http.StatusOK, SessionDecision{
+		s.writeJSON(w, r, http.StatusOK, SessionDecision{
 			ID:      id,
 			N:       n,
 			Server:  d.Server,
@@ -577,14 +577,14 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 		}
 		state := sessionState(id, entry.sess)
 		entry.lk.unlock()
-		writeJSON(w, http.StatusOK, state)
+		s.writeJSON(w, r, http.StatusOK, state)
 	case op == "schedule" && r.Method == http.MethodGet:
 		if !s.lockEntry(w, r, "session", entry.lk) {
 			return
 		}
 		sched := entry.sess.Schedule()
 		entry.lk.unlock()
-		writeJSON(w, http.StatusOK, sched)
+		s.writeJSON(w, r, http.StatusOK, sched)
 	case op == "trace" && r.Method == http.MethodGet:
 		if !s.lockEntry(w, r, "session", entry.lk) {
 			return
@@ -595,7 +595,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 		if events == nil {
 			events = []datacache.TraceEvent{} // render [] rather than null
 		}
-		writeJSON(w, http.StatusOK, SessionTraceResponse{
+		s.writeJSON(w, r, http.StatusOK, SessionTraceResponse{
 			ID: id, Cap: s.traceCap, Dropped: dropped, Events: events,
 		})
 	case op == "slo" && r.Method == http.MethodGet:
@@ -614,7 +614,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, r, http.StatusNotFound, fmt.Errorf("session %q has SLO tracking disabled", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, SessionSLOResponse{
+		s.writeJSON(w, r, http.StatusOK, SessionSLOResponse{
 			ID:        id,
 			Policy:    state.Policy,
 			Cost:      state.Cost,
@@ -634,7 +634,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, r, http.StatusNotFound, fmt.Errorf("session %q has no shadow policies", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, SessionShadowResponse{
+		s.writeJSON(w, r, http.StatusOK, SessionShadowResponse{
 			ID:           id,
 			Policy:       state.Policy,
 			N:            state.N,
@@ -660,7 +660,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			s.sessionsOpen.Add(-1)
 			s.dropSessionGauges(id, entry)
 		}
-		writeJSON(w, http.StatusOK, SessionCloseResponse{State: state, Schedule: sched})
+		s.writeJSON(w, r, http.StatusOK, SessionCloseResponse{State: state, Schedule: sched})
 	default:
 		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown session operation %q %s", op, r.Method))
 	}
@@ -722,7 +722,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if alerts == nil {
 		alerts = []SessionAlert{} // render [] rather than null
 	}
-	writeJSON(w, http.StatusOK, AlertsResponse{Firing: firing, Alerts: alerts})
+	s.writeJSON(w, r, http.StatusOK, AlertsResponse{Firing: firing, Alerts: alerts})
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -732,7 +732,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if firing > 0 {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, ReadyResponse{
+	s.writeJSON(w, r, http.StatusOK, ReadyResponse{
 		Status:       status,
 		Version:      Version,
 		SessionsOpen: open,

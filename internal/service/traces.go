@@ -87,7 +87,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if traces == nil {
 		traces = []obs.TraceSummary{} // render [] rather than null
 	}
-	writeJSON(w, http.StatusOK, TraceListResponse{Count: len(traces), Traces: traces})
+	s.writeJSON(w, r, http.StatusOK, TraceListResponse{Count: len(traces), Traces: traces})
 }
 
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
@@ -105,5 +105,5 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown trace %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, TraceGetResponse{TraceID: id, Spans: spans})
+	s.writeJSON(w, r, http.StatusOK, TraceGetResponse{TraceID: id, Spans: spans})
 }

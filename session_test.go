@@ -43,11 +43,17 @@ func TestSessionMatchesBatchRun(t *testing.T) {
 		{"migrate", &datacache.SessionOptions{Policy: "migrate"}, datacache.AlwaysMigrate{}},
 		{"replicate", &datacache.SessionOptions{Policy: "replicate"}, datacache.KeepEverywhere{}},
 	}
+	// The first request of the last sequence reaches a server other than
+	// the origin within the schedule tolerance (1e-9) of t=0.
+	seqs := []*datacache.Sequence{
+		randomSequence(rand.New(rand.NewSource(1)), 5, 40),
+		randomSequence(rand.New(rand.NewSource(2)), 5, 40),
+		randomSequence(rand.New(rand.NewSource(3)), 5, 40),
+		{M: 3, Origin: 1, Requests: []datacache.Request{{Server: 2, Time: 5e-10}, {Server: 3, Time: 1}}},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				seq := randomSequence(rng, 5, 40)
+			for i, seq := range seqs {
 				sess, err := datacache.NewSession(seq.M, seq.Origin, cm, tc.opts)
 				if err != nil {
 					t.Fatal(err)
@@ -62,24 +68,24 @@ func TestSessionMatchesBatchRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got, want := sess.Cost(), run.Stats.Cost; got != want {
-					t.Errorf("seed %d: session cost %v != batch cost %v", seed, got, want)
+					t.Errorf("sequence %d: session cost %v != batch cost %v", i, got, want)
 				}
 				if got, want := sess.Transfers(), run.Stats.Transfers; got != want {
-					t.Errorf("seed %d: session transfers %d != batch %d", seed, got, want)
+					t.Errorf("sequence %d: session transfers %d != batch %d", i, got, want)
 				}
 				opt, err := datacache.OptimalCost(seq, cm)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := sess.OptimalCost(); got != opt {
-					t.Errorf("seed %d: session optimum %v != batch optimum %v", seed, got, opt)
+					t.Errorf("sequence %d: session optimum %v != batch optimum %v", i, got, opt)
 				}
 				sched, err := sess.Close()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := sched.Validate(seq); err != nil {
-					t.Errorf("seed %d: final schedule invalid: %v", seed, err)
+					t.Errorf("sequence %d: final schedule invalid: %v", i, err)
 				}
 			}
 		})
