@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -53,9 +54,19 @@ var (
 )
 
 // NewRequestID returns a process-unique request identifier, cheap enough
-// to mint on every request.
+// to mint on every request: req-<epoch>-<sequence>, the sequence
+// zero-padded to six digits.
 func NewRequestID() string {
-	return fmt.Sprintf("req-%s-%06d", reqEpoch, reqSeq.Add(1))
+	var b [64]byte
+	id := append(b[:0], "req-"...)
+	id = append(id, reqEpoch...)
+	id = append(id, '-')
+	var d [20]byte
+	seq := strconv.AppendUint(d[:0], reqSeq.Add(1), 10)
+	for i := len(seq); i < 6; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, seq...))
 }
 
 type ctxKey struct{}

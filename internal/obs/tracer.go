@@ -120,7 +120,7 @@ func NewTracer(opts TracerOptions) (*Tracer, error) {
 		rate:     opts.SampleRate,
 		regret:   opts.RegretThreshold,
 		exporter: opts.Exporter,
-		store:    spanStore{cap: cap},
+		store:    newSpanStore(cap),
 		now:      time.Now,
 	}, nil
 }
@@ -197,6 +197,20 @@ func (s *Span) Context() SpanContext {
 	return sc
 }
 
+// Traceparent renders the span's outgoing traceparent header,
+// FormatTraceparent(s.Context()), from the hex ids the span already
+// holds.
+func (s *Span) Traceparent() string {
+	if s == nil || len(s.TraceID) != 32 || len(s.SpanID) != 16 || !isLowerHex(s.TraceID) || !isLowerHex(s.SpanID) {
+		return FormatTraceparent(s.Context())
+	}
+	flags := "-00"
+	if s.root.sampled {
+		flags = "-01"
+	}
+	return "00-" + s.TraceID + "-" + s.SpanID + flags
+}
+
 func decodeHex(s string, dst []byte) bool {
 	if len(s) != 2*len(dst) {
 		return false
@@ -262,11 +276,11 @@ func (t *Tracer) flush(root *rootState) bool {
 	if !keep {
 		return false
 	}
-	t.mu.Lock()
 	for _, sp := range root.spans {
 		sp.root = nil // the stored copy must not pin the buffer
-		t.store.add(*sp)
 	}
+	t.mu.Lock()
+	t.store.addTrace(root.spans)
 	exp := t.exporter
 	t.mu.Unlock()
 	if exp != nil {
@@ -299,9 +313,9 @@ func (t *Tracer) TraceSpans(id string) []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Span
-	t.store.each(func(sp Span) {
+	t.store.each(func(sp *Span) {
 		if sp.TraceID == id {
-			out = append(out, sp)
+			out = append(out, *sp)
 		}
 	})
 	return out
@@ -335,43 +349,19 @@ type TraceSummary struct {
 // descending (ties: most recent first) — the shape "which requests pushed
 // the ratio" questions want.
 func (t *Tracer) Traces(q TraceQuery) []TraceSummary {
+	t.mu.Lock()
+	byTrace, order := t.store.summaries()
+	t.mu.Unlock()
+	return rankTraces(byTrace, order, q)
+}
+
+// rankTraces filters the per-trace summaries by q and orders them as
+// Traces lists them.
+func rankTraces(byTrace map[string]*TraceSummary, order []string, q TraceQuery) []TraceSummary {
 	limit := q.Limit
 	if limit <= 0 {
 		limit = 100
 	}
-	t.mu.Lock()
-	byTrace := map[string]*TraceSummary{}
-	var order []string
-	t.store.each(func(sp Span) {
-		sum, ok := byTrace[sp.TraceID]
-		if !ok {
-			// Groups are stored contiguously with the local root first, so
-			// the first span seen per trace carries the root name/duration.
-			sum = &TraceSummary{
-				TraceID:  sp.TraceID,
-				Name:     sp.Name,
-				Start:    sp.Start,
-				Duration: sp.Duration,
-			}
-			byTrace[sp.TraceID] = sum
-			order = append(order, sp.TraceID)
-		}
-		sum.Spans++
-		sum.Regret += sp.Regret
-		sum.Error = sum.Error || sp.Error
-		sum.Shed = sum.Shed || sp.Shed
-		if sp.Session != "" && sum.Session == "" {
-			sum.Session = sp.Session
-		}
-		if sp.Decision != "" && !containsField(sum.Decision, sp.Decision) {
-			if sum.Decision != "" {
-				sum.Decision += ","
-			}
-			sum.Decision += sp.Decision
-		}
-	})
-	t.mu.Unlock()
-
 	out := make([]TraceSummary, 0, len(order))
 	for _, id := range order {
 		sum := byTrace[id]
@@ -390,15 +380,23 @@ func (t *Tracer) Traces(q TraceQuery) []TraceSummary {
 		out = append(out, *sum)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Regret != out[j].Regret {
-			return out[i].Regret > out[j].Regret
-		}
-		return out[i].Start.After(out[j].Start)
+		return ranksBefore(out[i].Regret, out[i].Start, out[j].Regret, out[j].Start)
 	})
 	if len(out) > limit {
 		out = out[:limit]
 	}
 	return out
+}
+
+// Exemplar returns the id of the session's highest-regret retained trace,
+// the trace a firing alert links to: the first summary
+// Traces(TraceQuery{Session: session, Limit: 1}) lists, or "" when it
+// lists none. The store indexes each session's candidates as traces are
+// flushed, so a lookup reads the index instead of summarizing the store.
+func (t *Tracer) Exemplar(session string) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.store.exemplar(session)
 }
 
 // containsField reports whether the comma-joined list holds field.
@@ -417,47 +415,6 @@ func containsField(list, field string) bool {
 		list = list[i+1:]
 	}
 	return false
-}
-
-// spanStore is a bounded ring of kept spans. All access happens under the
-// tracer's mutex.
-type spanStore struct {
-	cap   int
-	spans []Span
-	head  int // oldest element once saturated
-}
-
-func (st *spanStore) add(sp Span) {
-	if len(st.spans) >= st.cap {
-		st.spans[st.head] = sp
-		st.head = (st.head + 1) % len(st.spans)
-		return
-	}
-	st.spans = append(st.spans, sp)
-}
-
-func (st *spanStore) len() int { return len(st.spans) }
-
-// each visits retained spans oldest first.
-func (st *spanStore) each(fn func(Span)) {
-	for i := 0; i < len(st.spans); i++ {
-		fn(st.spans[(st.head+i)%len(st.spans)])
-	}
-}
-
-// dropSession removes every span of the session, compacting in place.
-func (st *spanStore) dropSession(session string) {
-	kept := st.spans[:0]
-	for i := 0; i < len(st.spans); i++ {
-		sp := st.spans[(st.head+i)%len(st.spans)]
-		if sp.Session != session {
-			kept = append(kept, sp)
-		}
-	}
-	// The filtered walk above reads in ring order and writes from index 0,
-	// which un-rotates the buffer; with cap > len it must also shrink.
-	st.spans = kept
-	st.head = 0
 }
 
 // --- context plumbing ---

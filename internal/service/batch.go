@@ -98,10 +98,10 @@ func (b PoolBatchRequestBody) items() []PoolServeRequest { return b.Requests }
 // shapes, through the one 64 MiB bound. A body in the scanner's
 // canonical grammar is scanned straight from its bytes; every other
 // body, every rejected one included, goes through decodeBatchJSON.
-func decodeBatch[B batchBody[T], T any, P batchItem[T]](w http.ResponseWriter, r *http.Request) ([]T, error) {
+func decodeBatch[B batchBody[T], T any, P requestObject[T]](w http.ResponseWriter, r *http.Request) ([]T, error) {
 	buf := getBuffer()
 	defer putBuffer(buf)
-	if err := readBatchBody(w, r, buf); err != nil {
+	if err := readBody(w, r, buf); err != nil {
 		return nil, err
 	}
 	ndjson := strings.Contains(r.Header.Get("Content-Type"), "ndjson")
@@ -130,22 +130,6 @@ func decodeBatchJSON[B batchBody[T], T any](body []byte, ndjson bool) ([]T, erro
 		return nil, fmt.Errorf("bad batch body: %w", err)
 	}
 	return req.items(), nil
-}
-
-// decodeValue decodes the one JSON value data holds into v, refusing
-// unknown fields and anything but whitespace after the value.
-func decodeValue(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
-		// The syntax check reports what follows the value: "invalid
-		// character 'x' after top-level value".
-		return json.Unmarshal(data, new(json.RawMessage))
-	}
-	return nil
 }
 
 // decodeNDJSON reads one T per value. json.Decoder handles the framing

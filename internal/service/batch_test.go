@@ -368,10 +368,10 @@ func TestBatchMetrics(t *testing.T) {
 }
 
 // padded returns a body of prefix, then one byte more than the 64 MiB
-// batch-body bound of spaces, then suffix, generated as it is read.
+// body bound of spaces, then suffix, generated as it is read.
 func padded(prefix, suffix string) io.Reader {
 	return io.MultiReader(strings.NewReader(prefix),
-		io.LimitReader(spaces{}, maxBatchBody+1), strings.NewReader(suffix))
+		io.LimitReader(spaces{}, maxBody+1), strings.NewReader(suffix))
 }
 
 // spaces reads as an endless run of JSON whitespace.

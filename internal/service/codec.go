@@ -15,18 +15,19 @@ import (
 	"datacache/internal/model"
 )
 
-// The batch routes carry most of a pool's traffic, and encoding/json
-// spends more CPU on a 64-request batch than serving it takes. This file
-// holds their codec: a scanner that reads a batch body in its
-// canonical grammar straight from the bytes, and appenders that write
-// the batch replies into a reused buffer, byte for byte what
-// encoding/json writes. A body outside the grammar goes to
-// decodeBatchJSON, which is both the only path for such bodies and the
-// reference FuzzBatchCodec holds the scanner to; the reply DTOs through
+// The serve routes carry the service's traffic, and encoding/json spends
+// more CPU on a request body and its reply than the engine spends
+// deciding it. This file holds their codec: a scanner that reads a batch
+// body, or a single request's, in its canonical grammar straight from
+// the bytes, and appenders that write the serve replies into a reused
+// buffer, byte for byte what encoding/json writes. A body outside the
+// grammar goes to decodeBatchJSON or decodeValue, which are both the
+// only path for such bodies and the reference FuzzBatchCodec and
+// FuzzSingleCodec hold the scanner to; the reply DTOs through
 // encoding/json are the appenders' reference.
 
-// maxBatchBody bounds the bytes of one batch body, in every shape.
-const maxBatchBody = 64 << 20
+// maxBody bounds the bytes of every JSON request body.
+const maxBody = 64 << 20
 
 // maxPooledBuffer is the largest buffer kept for reuse. The body and the
 // reply of a 64-request batch take a few KB to ~25 KB; larger ones, such
@@ -34,8 +35,8 @@ const maxBatchBody = 64 << 20
 // held here beside encoding/json's own pooled copy.
 const maxPooledBuffer = 64 << 10
 
-// buffer is a reusable byte buffer: a batch body is read into one, and
-// every reply is encoded into one before its status is written.
+// buffer is a reusable byte buffer: every JSON body is read into one,
+// and every reply is encoded into one before its status is written.
 type buffer struct{ b []byte }
 
 // Write appends p, so a json.Encoder can encode into the buffer.
@@ -58,17 +59,16 @@ func putBuffer(buf *buffer) {
 	}
 }
 
-// readBatchBody reads r's body into buf through the one batch-body
-// bound.
-func readBatchBody(w http.ResponseWriter, r *http.Request, buf *buffer) error {
-	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
+// readBody reads r's body into buf through the one body bound.
+func readBody(w http.ResponseWriter, r *http.Request, buf *buffer) error {
+	body := http.MaxBytesReader(w, r.Body, maxBody)
 	for {
 		if len(buf.b) == cap(buf.b) {
 			// Double, or go straight to one byte past the bound, which is
 			// all MaxBytesReader reads to tell a body over it.
 			size := max(512, 2*cap(buf.b))
-			if size >= maxBatchBody {
-				size = maxBatchBody + 1
+			if size >= maxBody {
+				size = maxBody + 1
 			}
 			grown := make([]byte, len(buf.b), size)
 			copy(grown, buf.b)
@@ -82,17 +82,18 @@ func readBatchBody(w http.ResponseWriter, r *http.Request, buf *buffer) error {
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
-				return fmt.Errorf("batch body exceeds the %d-byte (64 MiB) bound", maxBatchBody)
+				return fmt.Errorf("request body exceeds the %d-byte (64 MiB) bound", maxBody)
 			}
-			return fmt.Errorf("reading batch body: %w", err)
+			return fmt.Errorf("reading the request body: %w", err)
 		}
 	}
 }
 
-// scanner reads a batch body in the canonical grammar: JSON whitespace,
-// the items' lower-case keys, strings of printable ASCII with no escapes
-// and numbers in JSON's grammar. A method that fails leaves the position
-// undefined, and the whole body is then handed to decodeBatchJSON.
+// scanner reads a serve body in the canonical grammar: JSON whitespace,
+// the request objects' lower-case keys, strings of printable ASCII with
+// no escapes and numbers in JSON's grammar. A method that fails leaves
+// the position undefined, and the whole body is then handed to
+// encoding/json.
 type scanner struct {
 	b []byte
 	i int
@@ -229,14 +230,27 @@ func (s *scanner) requestKey(key []byte, server *model.ServerID, t, time *float6
 	return 0, false
 }
 
-// batchItem is a batch element the scanner fills key by key:
-// *BatchRequestItem or *PoolServeRequest.
-type batchItem[T any] interface {
+// requestObject is a request object the scanner fills key by key: a
+// batch element, *BatchRequestItem or *PoolServeRequest, or a single
+// request's body, *StreamAppendRequest or *PoolServeRequest.
+type requestObject[T any] interface {
 	*T
-	// scanKey reads key's value into the item and returns the key's bit;
-	// ok is false when key is not one of the item's or its value is
-	// outside the grammar.
+	// scanKey reads key's value into the object and returns the key's
+	// bit; ok is false when key is not one of the object's or its value
+	// is outside the grammar.
 	scanKey(s *scanner, key []byte) (bit uint8, ok bool)
+}
+
+func (it *StreamAppendRequest) scanKey(s *scanner, key []byte) (bit uint8, ok bool) {
+	switch string(key) {
+	case "server":
+		it.Server, ok = s.server()
+		return 1 << 0, ok
+	case "time":
+		it.Time, ok = s.float()
+		return 1 << 2, ok
+	}
+	return 0, false
 }
 
 func (it *BatchRequestItem) scanKey(s *scanner, key []byte) (uint8, bool) {
@@ -255,43 +269,66 @@ func (it *PoolServeRequest) scanKey(s *scanner, key []byte) (bit uint8, ok bool)
 	return s.requestKey(key, &it.Server, &it.T, &it.Time)
 }
 
-// scanItem reads one request object and appends it to items. It gives up
-// on a batch past MaxBatchRequests, so that decodeBatchJSON reports it.
-func scanItem[T any, P batchItem[T]](s *scanner, items []T) ([]T, bool) {
-	if len(items) == MaxBatchRequests || !s.next('{') {
-		return nil, false
+// scanObject reads one request object into obj, each of its keys at
+// most once.
+func scanObject[T any, P requestObject[T]](s *scanner, obj P) bool {
+	if !s.next('{') {
+		return false
 	}
-	var zero T
-	items = append(items, zero)
-	item := P(&items[len(items)-1])
 	if s.next('}') {
-		return items, true
+		return true
 	}
 	var seen uint8
 	for {
 		key, ok := s.str()
 		if !ok || !s.next(':') {
-			return nil, false
+			return false
 		}
-		bit, ok := item.scanKey(s, key)
+		bit, ok := obj.scanKey(s, key)
 		if !ok || seen&bit != 0 {
-			return nil, false
+			return false
 		}
 		seen |= bit
 		if s.next('}') {
-			return items, true
+			return true
 		}
 		if !s.next(',') {
-			return nil, false
+			return false
 		}
 	}
+}
+
+// scanItem reads one request object and appends it to items. It gives up
+// on a batch past MaxBatchRequests, so that decodeBatchJSON reports it.
+func scanItem[T any, P requestObject[T]](s *scanner, items []T) ([]T, bool) {
+	if len(items) == MaxBatchRequests {
+		return nil, false
+	}
+	var zero T
+	items = append(items, zero)
+	if !scanObject[T, P](s, &items[len(items)-1]) {
+		return nil, false
+	}
+	return items, true
+}
+
+// scanRequest reads a single request's body in its canonical grammar:
+// one request object and nothing after it but whitespace. ok is false for
+// every other body, which then goes to decodeValue unchanged.
+func scanRequest[T any, P requestObject[T]](body []byte, req P) bool {
+	s := scanner{b: body}
+	if !scanObject[T, P](&s, req) {
+		return false
+	}
+	s.space()
+	return s.i == len(s.b)
 }
 
 // scanBatch reads a batch body in its canonical grammar: the
 // {"requests":[...]} object, the bare array, or (ndjson) request objects
 // separated by whitespace. ok is false for every other body, which then
 // goes to decodeBatchJSON unchanged.
-func scanBatch[T any, P batchItem[T]](body []byte, ndjson bool) (items []T, ok bool) {
+func scanBatch[T any, P requestObject[T]](body []byte, ndjson bool) (items []T, ok bool) {
 	s := scanner{b: body}
 	items = make([]T, 0, min(bytes.Count(body, []byte{'{'}), MaxBatchRequests))
 	if ndjson {
@@ -411,6 +448,92 @@ func (e *jsonAppender) tail(cost, optimal, ratio float64) {
 	e.raw("}\n")
 }
 
+// decision writes the fields a session decision reply ends with, from
+// "server" to "regret": all of a BatchDecision, the tail of a
+// SessionDecision.
+func (e *jsonAppender) decision(d *datacache.Decision) {
+	e.raw(`"server":`)
+	e.int(int(d.Server))
+	e.raw(`,"time":`)
+	e.float(d.Time)
+	e.raw(`,"hit":`)
+	e.bool(d.Hit)
+	if d.From != 0 {
+		e.raw(`,"from":`)
+		e.int(int(d.From))
+	}
+	e.raw(`,"cost":`)
+	e.float(d.Cost)
+	e.raw(`,"optimal":`)
+	e.float(d.Optimal)
+	e.raw(`,"ratio":`)
+	e.float(d.Ratio)
+	e.raw(`,"regret":`)
+	e.float(d.Regret)
+}
+
+// poolDecision writes one PoolDecisionDTO: an element of a pool batch's
+// decisions, and the whole of a single pool reply.
+func (e *jsonAppender) poolDecision(id string, d *datacache.PoolDecision) {
+	e.raw(`{"id":`)
+	e.string(id)
+	if d.Tenant != "" {
+		e.raw(`,"tenant":`)
+		e.string(d.Tenant)
+	}
+	e.raw(`,"item":`)
+	e.string(d.Item)
+	if d.Revived {
+		e.raw(`,"revived":true`)
+	}
+	e.raw(`,"server":`)
+	e.int(int(d.Server))
+	e.raw(`,"time":`)
+	e.float(d.Time)
+	e.raw(`,"hit":`)
+	e.bool(d.Hit)
+	if d.From != 0 {
+		e.raw(`,"from":`)
+		e.int(int(d.From))
+	}
+	e.raw(`,"regret":`)
+	e.float(d.Regret)
+	e.raw(`,"itemCost":`)
+	e.float(d.ItemCost)
+	e.raw(`,"itemOptimal":`)
+	e.float(d.ItemOptimal)
+	e.raw(`,"poolCost":`)
+	e.float(d.PoolCost)
+	e.raw(`,"poolOptimal":`)
+	e.float(d.PoolOptimal)
+	e.raw(`,"poolRatio":`)
+	e.float(d.PoolRatio)
+	e.raw("}")
+}
+
+// appendSessionDecision appends the SessionDecision of a single serve:
+// what json.NewEncoder(w).Encode writes for it, newline included.
+func appendSessionDecision(b []byte, id string, n int, d *datacache.Decision) ([]byte, error) {
+	e := jsonAppender{b: b}
+	e.raw(`{"id":`)
+	e.string(id)
+	e.raw(`,"n":`)
+	e.int(n)
+	e.raw(",")
+	e.decision(d)
+	e.raw("}\n")
+	return e.b, e.err
+}
+
+// appendPoolDecision appends the PoolDecisionDTO of a single pool serve:
+// what json.NewEncoder(w).Encode writes for it, newline included.
+func appendPoolDecision(b []byte, id string, d *datacache.PoolDecision) ([]byte, error) {
+	e := jsonAppender{b: b}
+	e.poolDecision(id, d)
+	e.raw("\n")
+	return e.b, e.err
+}
+
 // appendSessionBatch appends the SessionBatchResponse of a session
 // batch: what json.NewEncoder(w).Encode writes for it, newline included.
 func appendSessionBatch(b []byte, id string, n int, res *datacache.ServeBatchResult) ([]byte, error) {
@@ -418,28 +541,11 @@ func appendSessionBatch(b []byte, id string, n int, res *datacache.ServeBatchRes
 	e.head(id, n, len(res.Decisions), res.FirstRejected, res.RejectReason)
 	e.raw(`,"decisions":[`)
 	for i := range res.Decisions {
-		d := &res.Decisions[i]
 		if i > 0 {
 			e.raw(",")
 		}
-		e.raw(`{"server":`)
-		e.int(int(d.Server))
-		e.raw(`,"time":`)
-		e.float(d.Time)
-		e.raw(`,"hit":`)
-		e.bool(d.Hit)
-		if d.From != 0 {
-			e.raw(`,"from":`)
-			e.int(int(d.From))
-		}
-		e.raw(`,"cost":`)
-		e.float(d.Cost)
-		e.raw(`,"optimal":`)
-		e.float(d.Optimal)
-		e.raw(`,"ratio":`)
-		e.float(d.Ratio)
-		e.raw(`,"regret":`)
-		e.float(d.Regret)
+		e.raw("{")
+		e.decision(&res.Decisions[i])
 		e.raw("}")
 	}
 	e.tail(res.Cost, res.Optimal, res.Ratio)
@@ -467,44 +573,10 @@ func appendPoolBatch(b []byte, id string, n int, res *datacache.PoolBatchResult)
 	}
 	e.raw(`,"decisions":[`)
 	for i := range res.Decisions {
-		d := &res.Decisions[i]
 		if i > 0 {
 			e.raw(",")
 		}
-		e.raw(`{"id":`)
-		e.string(id)
-		if d.Tenant != "" {
-			e.raw(`,"tenant":`)
-			e.string(d.Tenant)
-		}
-		e.raw(`,"item":`)
-		e.string(d.Item)
-		if d.Revived {
-			e.raw(`,"revived":true`)
-		}
-		e.raw(`,"server":`)
-		e.int(int(d.Server))
-		e.raw(`,"time":`)
-		e.float(d.Time)
-		e.raw(`,"hit":`)
-		e.bool(d.Hit)
-		if d.From != 0 {
-			e.raw(`,"from":`)
-			e.int(int(d.From))
-		}
-		e.raw(`,"regret":`)
-		e.float(d.Regret)
-		e.raw(`,"itemCost":`)
-		e.float(d.ItemCost)
-		e.raw(`,"itemOptimal":`)
-		e.float(d.ItemOptimal)
-		e.raw(`,"poolCost":`)
-		e.float(d.PoolCost)
-		e.raw(`,"poolOptimal":`)
-		e.float(d.PoolOptimal)
-		e.raw(`,"poolRatio":`)
-		e.float(d.PoolRatio)
-		e.raw("}")
+		e.poolDecision(id, &res.Decisions[i])
 	}
 	e.tail(res.Cost, res.Optimal, res.Ratio)
 	return e.b, e.err

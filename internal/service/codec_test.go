@@ -63,11 +63,33 @@ func poolBatchResponse(id string, n int, res *datacache.PoolBatchResult) PoolBat
 	return resp
 }
 
+// poolDecisionDTO builds the reply DTO of one pool decision, the
+// reference of appendPoolDecision and of each element appendPoolBatch
+// writes.
+func poolDecisionDTO(id string, d datacache.PoolDecision) PoolDecisionDTO {
+	return PoolDecisionDTO{
+		ID:          id,
+		Tenant:      d.Tenant,
+		Item:        d.Item,
+		Revived:     d.Revived,
+		Server:      d.Server,
+		Time:        d.Decision.Time,
+		Hit:         d.Hit,
+		From:        d.From,
+		Regret:      d.Regret,
+		ItemCost:    d.ItemCost,
+		ItemOptimal: d.ItemOptimal,
+		PoolCost:    d.PoolCost,
+		PoolOptimal: d.PoolOptimal,
+		PoolRatio:   d.PoolRatio,
+	}
+}
+
 // checkDecode requires decodeBatch, the scanner with its fallback, to
 // read body exactly as decodeBatchJSON does: the same verdict, the same
 // error message, and items equal bit for bit (%#v prints every float64
 // in a form that tells its bits apart, -0 included).
-func checkDecode[B batchBody[T], T any, P batchItem[T]](t *testing.T, body []byte, ndjson bool) {
+func checkDecode[B batchBody[T], T any, P requestObject[T]](t *testing.T, body []byte, ndjson bool) {
 	t.Helper()
 	r := httptest.NewRequest("POST", "/v1/x/requests", bytes.NewReader(body))
 	if ndjson {
@@ -141,23 +163,33 @@ func (s *replySource) decision() datacache.Decision {
 	}
 }
 
+func (s *replySource) poolDecision() datacache.PoolDecision {
+	return datacache.PoolDecision{
+		Decision: s.decision(), Tenant: s.string(), Item: s.string(), Revived: s.byte()&1 == 1,
+		ItemCost: s.float(), ItemOptimal: s.float(),
+		PoolCost: s.float(), PoolOptimal: s.float(), PoolRatio: s.float(),
+	}
+}
+
+// checkReply requires an appender's output to be what json.NewEncoder
+// writes for the reply DTO, and the appender to fail exactly when, and
+// with the error, encoding/json fails.
+func checkReply(t *testing.T, kind string, got []byte, gotErr error, dto any) {
+	t.Helper()
+	var want bytes.Buffer
+	wantErr := json.NewEncoder(&want).Encode(dto)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s reply %+v: appender error %v, encoding/json %v", kind, dto, gotErr, wantErr)
+	}
+	if wantErr == nil && !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("%s reply:\nappender      %s\nencoding/json %s", kind, got, want.Bytes())
+	}
+}
+
 // checkReplies generates one session and one pool batch result from src
-// and requires each appender to write what json.NewEncoder writes for
-// the DTO, and to fail exactly when, and with the error, it fails.
+// and holds each batch appender to encoding/json with checkReply.
 func checkReplies(t *testing.T, src *replySource) {
 	t.Helper()
-	check := func(kind string, got []byte, gotErr error, dto any) {
-		t.Helper()
-		var want bytes.Buffer
-		wantErr := json.NewEncoder(&want).Encode(dto)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("%s reply %+v: appender error %v, encoding/json %v", kind, dto, gotErr, wantErr)
-		}
-		if wantErr == nil && !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("%s reply:\nappender      %s\nencoding/json %s", kind, got, want.Bytes())
-		}
-	}
-
 	id, n := src.string(), src.int()
 	sres := &datacache.ServeBatchResult{
 		FirstRejected: src.int(), RejectReason: src.string(),
@@ -170,7 +202,7 @@ func checkReplies(t *testing.T, src *replySource) {
 	if !bytes.HasPrefix(got, []byte("kept")) {
 		t.Fatalf("appendSessionBatch overwrote the buffer it appends to: %q", got)
 	}
-	check("session", got[len("kept"):], err, sessionBatchResponse(id, n, sres))
+	checkReply(t, "session", got[len("kept"):], err, sessionBatchResponse(id, n, sres))
 
 	pres := &datacache.PoolBatchResult{
 		FirstRejected: src.int(), RejectReason: src.string(),
@@ -180,14 +212,10 @@ func checkReplies(t *testing.T, src *replySource) {
 		pres.Rejected = append(pres.Rejected, datacache.PoolRejection{Index: src.int(), Reason: src.string()})
 	}
 	for k := src.byte() % 4; k > 0; k-- {
-		pres.Decisions = append(pres.Decisions, datacache.PoolDecision{
-			Decision: src.decision(), Tenant: src.string(), Item: src.string(), Revived: src.byte()&1 == 1,
-			ItemCost: src.float(), ItemOptimal: src.float(),
-			PoolCost: src.float(), PoolOptimal: src.float(), PoolRatio: src.float(),
-		})
+		pres.Decisions = append(pres.Decisions, src.poolDecision())
 	}
 	got, err = appendPoolBatch(nil, id, n, pres)
-	check("pool", got, err, poolBatchResponse(id, n, pres))
+	checkReply(t, "pool", got, err, poolBatchResponse(id, n, pres))
 }
 
 // replySeeds lays out reply bytes in the order checkReplies reads them.
@@ -336,4 +364,105 @@ func TestScannerTakesCanonicalBodies(t *testing.T) {
 			t.Errorf("scanner took %q, which is encoding/json's", body)
 		}
 	}
+}
+
+// checkSingle requires decodeRequest, the scanner with its fallback, to
+// read a single request's body exactly as decodeValue does: the same
+// verdict, the same error message, and a request equal bit for bit.
+func checkSingle[T any, P requestObject[T]](t *testing.T, body []byte) {
+	t.Helper()
+	var got, want T
+	gotErr := decodeRequest[T, P](httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/x/request", bytes.NewReader(body)), &got)
+	wantErr := decodeValue(body, &want)
+	if wantErr != nil {
+		wantErr = fmt.Errorf("bad request body: %w", wantErr)
+	}
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%T body %q: decodeRequest error %v, encoding/json %v", got, body, gotErr, wantErr)
+	}
+	if g, w := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", want); wantErr == nil && g != w {
+		t.Fatalf("body %q: decodeRequest read %s, encoding/json %s", body, g, w)
+	}
+}
+
+// checkSingleReplies generates one session and one pool decision from
+// src and holds each single-reply appender to encoding/json.
+func checkSingleReplies(t *testing.T, src *replySource) {
+	t.Helper()
+	id, n, d := src.string(), src.int(), src.decision()
+	got, err := appendSessionDecision([]byte("kept"), id, n, &d)
+	if !bytes.HasPrefix(got, []byte("kept")) {
+		t.Fatalf("appendSessionDecision overwrote the buffer it appends to: %q", got)
+	}
+	checkReply(t, "session decision", got[len("kept"):], err, SessionDecision{
+		ID: id, N: n, Server: d.Server, Time: d.Time, Hit: d.Hit, From: d.From,
+		Cost: d.Cost, Optimal: d.Optimal, Ratio: d.Ratio, Regret: d.Regret,
+	})
+	pd := src.poolDecision()
+	got, err = appendPoolDecision(nil, id, &pd)
+	checkReply(t, "pool decision", got, err, poolDecisionDTO(id, pd))
+}
+
+// singleReplySeeds lays out reply bytes in the order checkSingleReplies
+// reads them, as replySeeds does for checkReplies: seed k puts
+// edgeFloats[k] in every float slot, the second seed of each pair sets
+// from and revived, and the strings cycle through ones that need
+// escaping.
+func singleReplySeeds() [][]byte {
+	strs := []string{"<s&1>", `q"uo\te`, "ctl\x00\x1f\n", "sep\u2028\u2029", "bad\xff\xfe", "caf\u00e9~\x7f", "pl-1", ""}
+	var seeds [][]byte
+	for k := range edgeFloats {
+		for flag := byte(0); flag < 2; flag++ {
+			var b []byte
+			str := func(i int) {
+				s := strs[(2*k+int(flag)+i)%len(strs)]
+				b = append(append(b, byte(len(s))), s...)
+			}
+			decision := func() { // server 3, from server 2 when flagged
+				b = append(b, 3, byte(k), flag, 2*flag, byte(k), byte(k), byte(k), byte(k))
+			}
+			str(0)           // id
+			b = append(b, 7) // n
+			decision()
+			decision()
+			str(1) // tenant
+			str(2) // item
+			b = append(b, flag, byte(k), byte(k), byte(k), byte(k), byte(k))
+			seeds = append(seeds, b)
+		}
+	}
+	return seeds
+}
+
+// FuzzSingleCodec holds the single-request codec to encoding/json. The
+// body is read as a session request and as a pool request, and
+// checkSingle compares the scanner's reading with decodeValue's. The
+// reply bytes generate one session and one pool decision, and
+// checkSingleReplies compares each appender's output with
+// json.NewEncoder's.
+func FuzzSingleCodec(f *testing.F) {
+	for _, body := range []string{
+		`{"server":2,"time":0.5}`, `{"time":0.5,"server":2}`, `{"item":"a","server":1,"t":4}`,
+		`{"tenant":"acme","item":"a","server":2,"time":1}`, " {\n\"server\" : 2 ,\t\"time\" : 5E-1 }\r\n",
+		`{"server":2,"time":1e-6}`, `{"server":2,"time":9.999999999999999e-7}`, `{"server":2,"time":1e21}`,
+		`{"server":2,"time":999999999999999900000}`, `{"server":-0,"time":-0}`, `{"server":2,"time":-0.0}`,
+		`{"server":2,"time":5e-324}`, `{"server":2,"time":2.2250738585072014e-308}`, `{"server":2,"time":1e-400}`,
+		`{"server":2,"time":1e400}`, `{"server":2,"time":NaN}`, `{"server":2,"time":Infinity}`,
+		`{"server":99999999999999999999}`, `{"server":2.0}`, `{"server":1e2}`, `{"server":"2"}`, `{"server":null}`,
+		`{"server":2,"t":1}`, `{"Server":2,"Time":1}`, `{"server":2,"server":3}`, `{"server":2,"time":1,"bogus":1}`,
+		`{"server":2,"time":1} junk`, `{"server":3,"time":2}{"server":4,"time":3}`, `{"server":2,"time":1}` + "\n",
+		`{"item":"a\"b","server":1}`, `{"item":"a\u00e9","server":1}`, `{"item":"aé","server":1}`,
+		"{\"item\":\"\xff\",\"server\":1}", `{"tenant":"<&>","item":"~\u007f"}`, `{"item":null,"server":1}`,
+		`{"item":"x","time":1,"t":2}`, `{}`, `null`, ``, `[]`, `[{"server":2}]`, `{"server":2,}`, `{"server":2`,
+	} {
+		f.Add([]byte(body), []byte(nil))
+	}
+	for _, reply := range singleReplySeeds() {
+		f.Add([]byte(nil), reply)
+	}
+	f.Fuzz(func(t *testing.T, body, reply []byte) {
+		checkSingle[StreamAppendRequest](t, body)
+		checkSingle[PoolServeRequest](t, body)
+		checkSingleReplies(t, &replySource{b: reply})
+	})
 }

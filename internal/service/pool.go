@@ -124,25 +124,6 @@ type PoolDecisionDTO struct {
 	PoolRatio   float64 `json:"poolRatio"`
 }
 
-func poolDecisionDTO(id string, d datacache.PoolDecision) PoolDecisionDTO {
-	return PoolDecisionDTO{
-		ID:          id,
-		Tenant:      d.Tenant,
-		Item:        d.Item,
-		Revived:     d.Revived,
-		Server:      d.Server,
-		Time:        d.Decision.Time,
-		Hit:         d.Hit,
-		From:        d.From,
-		Regret:      d.Regret,
-		ItemCost:    d.ItemCost,
-		ItemOptimal: d.ItemOptimal,
-		PoolCost:    d.PoolCost,
-		PoolOptimal: d.PoolOptimal,
-		PoolRatio:   d.PoolRatio,
-	}
-}
-
 // PoolBatchResponse is the bulk-ingestion reply. Failure is per-item
 // partial: rejected lists the first refused request of every item that
 // had one; firstRejected/rejectReason keep the single-item view.
@@ -293,13 +274,7 @@ func (s *Server) poolObserver() datacache.Observer {
 }
 
 func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/pool/")
-	parts := strings.SplitN(rest, "/", 2)
-	id := parts[0]
-	op := ""
-	if len(parts) == 2 {
-		op = parts[1]
-	}
+	id, op, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/pool/"), "/")
 	entry, ok := s.pools.get(id)
 	if !ok {
 		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown pool %q", id))
@@ -308,7 +283,8 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case op == "request" && r.Method == http.MethodPost:
 		var req PoolServeRequest
-		if !s.readJSON(w, r, &req) {
+		if err := decodeRequest(w, r, &req); err != nil {
+			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
 		if !s.acquireServeSlot(w, r, "pool", id, &entry.inflight) {
@@ -349,7 +325,9 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.decisionSec.Observe(elapsed.Seconds())
 		}
-		s.writeJSON(w, r, http.StatusOK, poolDecisionDTO(id, d))
+		buf := getBuffer()
+		buf.b, err = appendPoolDecision(buf.b, id, &d)
+		s.sendReply(w, r, http.StatusOK, buf, err)
 	case op == "requests" && r.Method == http.MethodPost:
 		s.handlePoolBatch(w, r, id, entry)
 	case op == "record" && r.Method == http.MethodGet:

@@ -37,6 +37,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -60,7 +61,7 @@ import (
 )
 
 // Version identifies the service build in /healthz and /v1/spec.
-const Version = "1.13.0"
+const Version = "1.14.0"
 
 // DefaultTraceCap bounds each session's decision-event ring unless
 // WithTraceCap overrides it.
@@ -521,28 +522,50 @@ func (w *statusWriter) WriteHeader(code int) {
 // traceparent, status/latency metrics (with a trace exemplar when the
 // span is retained), and one structured log line per request.
 func (s *Server) mount(route string, h http.HandlerFunc) {
+	// The route's latency histogram and its 200 counter, resolved on the
+	// route's first request (not here, so that no series appears before
+	// one is observed) and read by every later one.
+	var latency atomic.Pointer[obs.Histogram]
+	var ok200 atomic.Pointer[obs.Counter]
 	s.mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := obs.NewRequestID()
-		parent, _ := obs.ParseTraceparent(r.Header.Get("Traceparent"))
+		var parent obs.SpanContext
+		if tp := r.Header.Get("Traceparent"); tp != "" {
+			parent, _ = obs.ParseTraceparent(tp)
+		}
 		span := s.tracer.StartRoot(route, parent)
 		span.Route = route
 		ctx := obs.WithSpan(obs.WithRequestID(r.Context(), id), span)
 		r = r.WithContext(ctx)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		sw.Header().Set("X-Request-Id", id)
-		sw.Header().Set("Traceparent", obs.FormatTraceparent(span.Context()))
+		sw.Header().Set("Traceparent", span.Traceparent())
 		h(sw, r)
 		elapsed := time.Since(start)
 		span.Status = sw.code
 		span.Error = sw.code >= 500
 		span.Shed = sw.code == http.StatusTooManyRequests
 		kept := span.End()
-		s.httpRequests.With(route, strconv.Itoa(sw.code)).Inc()
-		if kept {
-			s.httpLatency.With(route).ObserveExemplar(elapsed.Seconds(), span.TraceID)
+		if sw.code == http.StatusOK {
+			c := ok200.Load()
+			if c == nil {
+				c = s.httpRequests.With(route, "200")
+				ok200.Store(c)
+			}
+			c.Inc()
 		} else {
-			s.httpLatency.With(route).Observe(elapsed.Seconds())
+			s.httpRequests.With(route, strconv.Itoa(sw.code)).Inc()
+		}
+		lat := latency.Load()
+		if lat == nil {
+			lat = s.httpLatency.With(route)
+			latency.Store(lat)
+		}
+		if kept {
+			lat.ObserveExemplar(elapsed.Seconds(), span.TraceID)
+		} else {
+			lat.Observe(elapsed.Seconds())
 		}
 		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("id", id),
@@ -911,18 +934,63 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 
 // --- plumbing ---
 
+// readJSON reads a POST body through the 64 MiB bound and decodes it
+// into dst with decodeValue; a body over the bound or one decodeValue
+// refuses answers 400.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	if r.Method != http.MethodPost {
 		s.httpError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	buf := getBuffer()
+	defer putBuffer(buf)
+	err := readBody(w, r, buf)
+	if err == nil {
+		if err = decodeValue(buf.b, dst); err != nil {
+			err = fmt.Errorf("bad request body: %w", err)
+		}
+	}
+	if err != nil {
+		s.httpError(w, r, http.StatusBadRequest, err)
 		return false
 	}
 	return true
+}
+
+// decodeRequest reads a single request's body through the 64 MiB bound
+// into req: scanned when it is one request object in the canonical
+// grammar, through decodeValue otherwise.
+func decodeRequest[T any, P requestObject[T]](w http.ResponseWriter, r *http.Request, req P) error {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := readBody(w, r, buf); err != nil {
+		return err
+	}
+	if scanRequest[T, P](buf.b, req) {
+		return nil
+	}
+	var zero T
+	*req = zero // the scanner may have filled some fields before it gave up
+	if err := decodeValue(buf.b, req); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
+// decodeValue decodes the one JSON value data holds into v, refusing
+// unknown fields and anything but whitespace after the value.
+func decodeValue(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		// The syntax check reports what follows the value: "invalid
+		// character 'x' after top-level value".
+		return json.Unmarshal(data, new(json.RawMessage))
+	}
+	return nil
 }
 
 // writeJSON encodes v as the reply body with encoding/json and sends it
@@ -944,7 +1012,11 @@ func (s *Server) sendReply(w http.ResponseWriter, r *http.Request, status int, b
 		s.httpError(w, r, http.StatusInternalServerError, fmt.Errorf("encoding the reply: %w", encErr))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	// The whole body is at hand, so a reply past net/http's buffer goes
+	// out with its length rather than chunked.
+	h.Set("Content-Length", strconv.Itoa(len(buf.b)))
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.b) // fails only once the client is gone: no one is left to tell
 }

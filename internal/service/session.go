@@ -196,7 +196,12 @@ func (s *Server) engineObserver(entry *sessionEntry) datacache.Observer {
 // eventsLabel joins decision-event kinds into the span annotation, e.g.
 // "request,transfer" or "drop,drop,request,hit".
 func eventsLabel(evs []obs.Event) string {
+	n := 0
+	for _, ev := range evs {
+		n += len(ev.Kind.String()) + 1
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, ev := range evs {
 		if i > 0 {
 			b.WriteByte(',')
@@ -445,15 +450,14 @@ func (s *Server) alertHook(id string) obs.TransitionHook {
 		// Pin the transition onto the history timeline (wall-clock
 		// stamped by the store), linking a firing alert to the
 		// session's highest-regret retained trace as the exemplar a
-		// responder should open first.
+		// responder should open first. The tracer indexes it as traces
+		// are stored, so the lookup does not walk the span store.
 		ann := tsdb.Annotation{
 			Scope: id, Rule: rule.Name, From: from, To: to,
 			Value: value, ModelAt: at,
 		}
 		if to == datacache.AlertFiring {
-			if ts := s.tracer.Traces(obs.TraceQuery{Session: id, Limit: 1}); len(ts) > 0 {
-				ann.TraceID = ts[0].TraceID
-			}
+			ann.TraceID = s.tracer.Exemplar(id)
 		}
 		s.history.Annotate(ann)
 		s.log.LogAttrs(context.Background(), slog.LevelWarn, "slo alert transition",
@@ -498,13 +502,7 @@ func (s *Server) acquireServeSlot(w http.ResponseWriter, r *http.Request, kind, 
 }
 
 func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/session/")
-	parts := strings.SplitN(rest, "/", 2)
-	id := parts[0]
-	op := ""
-	if len(parts) == 2 {
-		op = parts[1]
-	}
+	id, op, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/session/"), "/")
 	entry, ok := s.sessions.get(id)
 	if !ok {
 		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
@@ -513,7 +511,8 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case op == "request" && r.Method == http.MethodPost:
 		var req StreamAppendRequest
-		if !s.readJSON(w, r, &req) {
+		if err := decodeRequest(w, r, &req); err != nil {
+			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
 		if !s.acquireServeSlot(w, r, "session", id, &entry.inflight) {
@@ -557,18 +556,9 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.decisionSec.Observe(elapsed.Seconds())
 		}
-		s.writeJSON(w, r, http.StatusOK, SessionDecision{
-			ID:      id,
-			N:       n,
-			Server:  d.Server,
-			Time:    d.Time,
-			Hit:     d.Hit,
-			From:    d.From,
-			Cost:    d.Cost,
-			Optimal: d.Optimal,
-			Ratio:   d.Ratio,
-			Regret:  d.Regret,
-		})
+		buf := getBuffer()
+		buf.b, err = appendSessionDecision(buf.b, id, n, &d)
+		s.sendReply(w, r, http.StatusOK, buf, err)
 	case op == "requests" && r.Method == http.MethodPost:
 		s.handleSessionBatch(w, r, id, entry)
 	case op == "" && r.Method == http.MethodGet:
