@@ -8,11 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
-	"datacache"
 	"datacache/internal/model"
-	"datacache/internal/obs"
 )
 
 // POST /v1/session/{id}/requests is the batch-first ingestion path: an
@@ -108,7 +105,11 @@ func decodeBatch[B batchBody[T], T any, P requestObject[T]](w http.ResponseWrite
 	if items, ok := scanBatch[T, P](buf.b, ndjson); ok {
 		return items, nil
 	}
-	return decodeBatchJSON[B](buf.b, ndjson)
+	items, err := decodeBatchJSON[B](buf.b, ndjson)
+	if err == nil && len(items) > MaxBatchRequests {
+		return nil, fmt.Errorf("batch of %d exceeds the %d-request bound", len(items), MaxBatchRequests)
+	}
+	return items, err
 }
 
 // decodeBatchJSON reads a batch body with encoding/json: the JSON object
@@ -152,121 +153,4 @@ func decodeNDJSON[T any](body []byte) ([]T, error) {
 			return nil, fmt.Errorf("batch exceeds %d requests", MaxBatchRequests)
 		}
 	}
-}
-
-// handleSessionBatch serves POST /v1/session/{id}/requests. The caller
-// has resolved the entry; this handler owns budget admission, locking and
-// the reply.
-func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request, id string, entry *sessionEntry) {
-	items, err := decodeBatch[SessionBatchRequest](w, r)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if len(items) > MaxBatchRequests {
-		s.httpError(w, r, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds the %d-request bound", len(items), MaxBatchRequests))
-		return
-	}
-	reqs := make([]model.Request, len(items))
-	for i, it := range items {
-		reqs[i] = model.Request{Server: it.Server, Time: it.at()}
-	}
-
-	if !s.acquireServeSlot(w, r, "session", id, &entry.inflight) {
-		return
-	}
-	defer entry.inflight.Add(-1)
-	if !s.lockEntry(w, r, "session", entry.lk) {
-		return
-	}
-	if entry.sess.Closed() {
-		entry.lk.unlock()
-		s.httpError(w, r, http.StatusConflict, fmt.Errorf("session %q is closed", id))
-		return
-	}
-	root := obs.SpanFrom(r.Context())
-	if root != nil {
-		root.Session = id
-		entry.sess.SetRecordTraceID(root.TraceID)
-	}
-	entry.evs = entry.evs[:0]
-	start := time.Now()
-	res, err := entry.sess.ServeBatch(r.Context(), reqs)
-	elapsed := time.Since(start)
-	var n int
-	var evs []obs.Event
-	if res != nil {
-		n = entry.sess.N()
-		evs = append(evs, entry.evs...) // copied: the buffer is reused under the lock
-	}
-	entry.lk.unlock()
-	if err != nil {
-		// ServeBatch fails outright only on a closed session (handled
-		// above) or a context canceled mid-batch; the applied prefix
-		// stays applied either way.
-		applied := 0
-		if res != nil {
-			applied = len(res.Decisions)
-		}
-		s.httpError(w, r, StatusClientClosedRequest,
-			fmt.Errorf("batch aborted after %d of %d requests: %v", applied, len(reqs), err))
-		return
-	}
-	s.batchSize.Observe(float64(len(reqs)))
-	if applied := len(res.Decisions); applied > 0 {
-		// One sample of the mean per-decision latency across the batch;
-		// the single-request path samples every decision individually.
-		perDecision := elapsed.Seconds() / float64(applied)
-		if root != nil && root.Sampled() {
-			s.decisionSec.ObserveExemplar(perDecision, root.TraceID)
-		} else {
-			s.decisionSec.Observe(perDecision)
-		}
-		// One serve child span per applied request, annotated with the
-		// decision events attributed to it; durations share the batch's
-		// mean since individual requests are not timed separately.
-		if root != nil {
-			runs := partitionEvents(evs, res.Decisions)
-			shadowNames := entry.sess.ShadowNames() // immutable after create; safe outside the lock
-			for i, d := range res.Decisions {
-				sp := root.StartChild("serve")
-				sp.Start = start
-				annotateServeSpan(sp, id, d, eventsLabel(runs[i]),
-					shadowDivergenceLabel(shadowNames, d.ShadowDiverged))
-				// Individual requests are not timed inside a batch; each
-				// child carries the batch's mean per-decision latency.
-				sp.Duration = perDecision
-			}
-		}
-	}
-	buf := getBuffer()
-	buf.b, err = appendSessionBatch(buf.b, id, n, res)
-	s.sendReply(w, r, http.StatusOK, buf, err)
-}
-
-// partitionEvents attributes a batch's decision-event stream to its
-// applied requests. Events arrive in serve order: each request's run is
-// the deadline expiries drained on its arrival, its own request/hit or
-// transfer, and any policy actions at its instant — so a new KindRequest
-// (or an event past the current request's time) opens the next run.
-func partitionEvents(evs []obs.Event, decisions []datacache.Decision) [][]obs.Event {
-	runs := make([][]obs.Event, len(decisions))
-	if len(decisions) == 0 {
-		return runs
-	}
-	j := 0
-	seenReq := false
-	for _, ev := range evs {
-		if seenReq && j+1 < len(decisions) &&
-			(ev.Kind == obs.KindRequest || ev.At > decisions[j].Time) {
-			j++
-			seenReq = false
-		}
-		if ev.Kind == obs.KindRequest {
-			seenReq = true
-		}
-		runs[j] = append(runs[j], ev)
-	}
-	return runs
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -392,4 +393,53 @@ func grepLines(text, needle string) string {
 		}
 	}
 	return b.String()
+}
+
+// TestEventBufferBounded: a batch of MaxBatchRequests requests, with gaps
+// past Δt so that each causes several events, leaves the session entry's
+// event buffer at or under maxEventBuffer, and the batch's serve spans
+// still carry their events. A 64-request batch then keeps its buffer for
+// the next serve.
+func TestEventBufferBounded(t *testing.T) {
+	srv := New()
+	w := fuzzCall(srv, http.MethodPost, "/v1/session", []byte(`{"m":4,"origin":1,"model":{"mu":1,"lambda":1}}`), false)
+	var st SessionState
+	if w.Code != http.StatusCreated || json.Unmarshal(w.Body.Bytes(), &st) != nil {
+		t.Fatalf("create: status %d: %s", w.Code, w.Body)
+	}
+	batch := func(from, n int) *httptest.ResponseRecorder {
+		var body bytes.Buffer
+		body.WriteByte('[')
+		for i := from; i < from+n; i++ {
+			if i > from {
+				body.WriteByte(',')
+			}
+			fmt.Fprintf(&body, `{"server":%d,"t":%g}`, 1+i%4, 2.5*float64(i+1))
+		}
+		body.WriteByte(']')
+		w := fuzzCall(srv, http.MethodPost, "/v1/session/"+st.ID+"/requests", body.Bytes(), false)
+		var res SessionBatchResponse
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &res) != nil || res.Applied != n {
+			t.Fatalf("batch of %d: status %d, applied %d", n, w.Code, res.Applied)
+		}
+		return w
+	}
+	w = batch(0, MaxBatchRequests)
+	e, _ := srv.sessions.get(st.ID)
+	if c := cap(e.evs); c > maxEventBuffer {
+		t.Errorf("a %d-request batch left an event buffer of capacity %d, want at most %d", MaxBatchRequests, c, maxEventBuffer)
+	}
+	spans := srv.tracer.TraceSpans(strings.Split(w.Header().Get("Traceparent"), "-")[1])
+	if len(spans) < 2 {
+		t.Fatalf("the batch's trace holds %d spans", len(spans))
+	}
+	for _, sp := range spans[1:] {
+		if sp.Name != "serve" || !strings.Contains(sp.Events, "request") || strings.Count(sp.Events, "request") != 1 {
+			t.Fatalf("serve span %+v: want the events of one request", sp)
+		}
+	}
+	batch(MaxBatchRequests, 64)
+	if c := cap(e.evs); c == 0 || c > maxEventBuffer {
+		t.Errorf("a 64-request batch left an event buffer of capacity %d, want one kept, at most %d", c, maxEventBuffer)
+	}
 }

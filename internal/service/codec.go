@@ -270,7 +270,8 @@ func (it *PoolServeRequest) scanKey(s *scanner, key []byte) (bit uint8, ok bool)
 }
 
 // scanObject reads one request object into obj, each of its keys at
-// most once.
+// most once. It calls scanKey through a type switch: a call through the
+// type parameter's dictionary would move the scanner to the heap.
 func scanObject[T any, P requestObject[T]](s *scanner, obj P) bool {
 	if !s.next('{') {
 		return false
@@ -284,7 +285,15 @@ func scanObject[T any, P requestObject[T]](s *scanner, obj P) bool {
 		if !ok || !s.next(':') {
 			return false
 		}
-		bit, ok := obj.scanKey(s, key)
+		var bit uint8
+		switch o := any(obj).(type) {
+		case *StreamAppendRequest:
+			bit, ok = o.scanKey(s, key)
+		case *BatchRequestItem:
+			bit, ok = o.scanKey(s, key)
+		case *PoolServeRequest:
+			bit, ok = o.scanKey(s, key)
+		}
 		if !ok || seen&bit != 0 {
 			return false
 		}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"datacache"
 	"datacache/internal/model"
@@ -287,49 +286,28 @@ func (s *Server) handlePoolOp(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		if !s.acquireServeSlot(w, r, "pool", id, &entry.inflight) {
+		sv := serveOp{id: id, pool: entry}
+		if !s.beginServe(w, r, &sv) {
 			return
 		}
-		defer entry.inflight.Add(-1)
-		if !s.lockEntry(w, r, "pool", entry.lk) {
-			return
-		}
-		root := obs.SpanFrom(r.Context())
-		if root != nil {
-			root.Session = id
-			entry.pool.SetRecordTraceID(root.TraceID)
-		}
-		span := root.StartChild("serve")
-		start := time.Now()
 		d, err := entry.pool.Serve(req.Tenant, req.Item, req.Server, req.at())
-		elapsed := time.Since(start)
-		closed := entry.pool.Closed()
-		entry.lk.unlock()
+		s.endServe(w, r, &sv, served{one: d, err: err})
+	case op == "requests" && r.Method == http.MethodPost:
+		items, err := decodeBatch[PoolBatchRequestBody](w, r)
 		if err != nil {
-			if span != nil {
-				span.Session = id
-				span.Error = true
-				span.End()
-			}
-			status := http.StatusBadRequest
-			if closed {
-				status = http.StatusConflict
-			}
-			s.httpError(w, r, status, err)
+			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		annotateServeSpan(span, id, d.Decision, "",
-			shadowDivergenceLabel(entry.pool.ShadowNames(), d.ShadowDiverged))
-		if root != nil && root.Sampled() {
-			s.decisionSec.ObserveExemplar(elapsed.Seconds(), root.TraceID)
-		} else {
-			s.decisionSec.Observe(elapsed.Seconds())
+		reqs := make([]datacache.PoolRequest, len(items))
+		for i, it := range items {
+			reqs[i] = datacache.PoolRequest{Tenant: it.Tenant, Item: it.Item, Server: it.Server, Time: it.at()}
 		}
-		buf := getBuffer()
-		buf.b, err = appendPoolDecision(buf.b, id, &d)
-		s.sendReply(w, r, http.StatusOK, buf, err)
-	case op == "requests" && r.Method == http.MethodPost:
-		s.handlePoolBatch(w, r, id, entry)
+		sv := serveOp{id: id, pool: entry}
+		if !s.beginServe(w, r, &sv) {
+			return
+		}
+		res, err := entry.pool.ServeBatch(r.Context(), reqs)
+		s.endServe(w, r, &sv, served{poolBatch: res, reqs: len(reqs), err: err})
 	case op == "record" && r.Method == http.MethodGet:
 		s.handleRecordDownload(w, r, id)
 	case op == "" && r.Method == http.MethodGet:
@@ -419,83 +397,4 @@ func parseItemsQuery(q url.Values) (by string, limit int, err error) {
 		}
 	}
 	return by, limit, nil
-}
-
-// handlePoolBatch serves POST /v1/pool/{id}/requests: an ordered
-// multi-item batch under ONE entry-lock acquisition, grouped by item
-// inside the pool, with per-item partial-failure semantics.
-func (s *Server) handlePoolBatch(w http.ResponseWriter, r *http.Request, id string, entry *poolEntry) {
-	items, err := decodeBatch[PoolBatchRequestBody](w, r)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if len(items) > MaxBatchRequests {
-		s.httpError(w, r, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds the %d-request bound", len(items), MaxBatchRequests))
-		return
-	}
-	reqs := make([]datacache.PoolRequest, len(items))
-	for i, it := range items {
-		reqs[i] = datacache.PoolRequest{Tenant: it.Tenant, Item: it.Item, Server: it.Server, Time: it.at()}
-	}
-
-	if !s.acquireServeSlot(w, r, "pool", id, &entry.inflight) {
-		return
-	}
-	defer entry.inflight.Add(-1)
-	if !s.lockEntry(w, r, "pool", entry.lk) {
-		return
-	}
-	if entry.pool.Closed() {
-		entry.lk.unlock()
-		s.httpError(w, r, http.StatusConflict, fmt.Errorf("pool %q is closed", id))
-		return
-	}
-	root := obs.SpanFrom(r.Context())
-	if root != nil {
-		root.Session = id
-		entry.pool.SetRecordTraceID(root.TraceID)
-	}
-	start := time.Now()
-	res, batchErr := entry.pool.ServeBatch(r.Context(), reqs)
-	elapsed := time.Since(start)
-	var n int
-	if res != nil {
-		n = entry.pool.N()
-	}
-	entry.lk.unlock()
-	if batchErr != nil {
-		// ServeBatch fails outright only on a closed pool (handled above)
-		// or a context canceled mid-batch; applied requests stay applied.
-		applied := 0
-		if res != nil {
-			applied = len(res.Decisions)
-		}
-		s.httpError(w, r, StatusClientClosedRequest,
-			fmt.Errorf("batch aborted after %d of %d requests: %v", applied, len(reqs), batchErr))
-		return
-	}
-	s.batchSize.Observe(float64(len(reqs)))
-	if applied := len(res.Decisions); applied > 0 {
-		perDecision := elapsed.Seconds() / float64(applied)
-		if root != nil && root.Sampled() {
-			s.decisionSec.ObserveExemplar(perDecision, root.TraceID)
-		} else {
-			s.decisionSec.Observe(perDecision)
-		}
-		if root != nil {
-			shadowNames := entry.pool.ShadowNames() // immutable after create
-			for _, d := range res.Decisions {
-				sp := root.StartChild("serve")
-				sp.Start = start
-				annotateServeSpan(sp, id, d.Decision, "",
-					shadowDivergenceLabel(shadowNames, d.ShadowDiverged))
-				sp.Duration = perDecision
-			}
-		}
-	}
-	buf := getBuffer()
-	buf.b, err = appendPoolBatch(buf.b, id, n, res)
-	s.sendReply(w, r, http.StatusOK, buf, err)
 }

@@ -969,11 +969,14 @@ func decodeRequest[T any, P requestObject[T]](w http.ResponseWriter, r *http.Req
 	if scanRequest[T, P](buf.b, req) {
 		return nil
 	}
-	var zero T
-	*req = zero // the scanner may have filled some fields before it gave up
-	if err := decodeValue(buf.b, req); err != nil {
+	// A fresh value, not req: the scanner may have filled some of req's
+	// fields before it gave up, and req passed as an interface would
+	// move to the heap on every call, scanned or not.
+	v := new(T)
+	if err := decodeValue(buf.b, v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
+	*req = *v
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"datacache"
 	"datacache/internal/model"
@@ -43,9 +42,10 @@ type sessionEntry struct {
 	inflight atomic.Int64
 	sess     *datacache.Session
 	// evs buffers the engine events of the serve operation currently
-	// running under the entry lock; the handlers reset it before Serve and
-	// read it after, to annotate the request's trace span with what the
-	// decision actually did (hit/transfer/drop/timer/epoch-reset).
+	// running under the entry lock; the serve skeleton (serve.go) resets
+	// it before the call and reads it after, to annotate each decision's
+	// trace span with what the decision actually did
+	// (hit/transfer/drop/timer/epoch-reset).
 	evs []obs.Event
 }
 
@@ -191,70 +191,6 @@ func (s *Server) engineObserver(entry *sessionEntry) datacache.Observer {
 		}
 		entry.evs = append(entry.evs, ev)
 	})
-}
-
-// eventsLabel joins decision-event kinds into the span annotation, e.g.
-// "request,transfer" or "drop,drop,request,hit".
-func eventsLabel(evs []obs.Event) string {
-	n := 0
-	for _, ev := range evs {
-		n += len(ev.Kind.String()) + 1
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, ev := range evs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(ev.Kind.String())
-	}
-	return b.String()
-}
-
-// decisionLabel names the serve outcome for span search.
-func decisionLabel(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "transfer"
-}
-
-// shadowDivergenceLabel joins the labels of the shadow policies whose
-// decision diverged from the live one (bit i of mask ↔ names[i]), e.g.
-// "migrate,ttl:window=0.5". Empty when every shadow agreed.
-func shadowDivergenceLabel(names []string, mask uint64) string {
-	if mask == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, name := range names {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(name)
-	}
-	return b.String()
-}
-
-// annotateServeSpan fills one serve child span from a decision and ends
-// it. shadows names the shadow policies that decided this request
-// differently (empty when unshadowed or unanimous). Nil-span safe, so
-// untraced paths pay only the calls.
-func annotateServeSpan(sp *obs.Span, id string, d datacache.Decision, events, shadows string) {
-	if sp == nil {
-		return
-	}
-	sp.Session = id
-	sp.Server = int(d.Server)
-	sp.Decision = decisionLabel(d.Hit)
-	sp.Events = events
-	sp.Drops = d.Drops
-	sp.Shadows = shadows
-	sp.Regret = d.Regret
-	sp.End()
 }
 
 // collectEntries writes every open session's and pool's metric series.
@@ -485,22 +421,6 @@ func (s *Server) lockEntry(w http.ResponseWriter, r *http.Request, kind string, 
 	return true
 }
 
-// acquireServeSlot admits a serve operation (single or batch) against a
-// session's or pool's inflight budget, shedding excess load with 429 +
-// Retry-After before the operation ever queues on the entry lock. On
-// success the caller must release the slot with inflight.Add(-1).
-func (s *Server) acquireServeSlot(w http.ResponseWriter, r *http.Request, kind, id string, inflight *atomic.Int64) bool {
-	if inflight.Add(1) > s.inflight {
-		inflight.Add(-1)
-		s.batchShed.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusTooManyRequests,
-			fmt.Errorf("%s %q has %d serve operations inflight (budget %d)", kind, id, s.inflight, s.inflight))
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 	id, op, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/session/"), "/")
 	entry, ok := s.sessions.get(id)
@@ -515,52 +435,28 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		if !s.acquireServeSlot(w, r, "session", id, &entry.inflight) {
+		sv := serveOp{id: id, sess: entry}
+		if !s.beginServe(w, r, &sv) {
 			return
 		}
-		defer entry.inflight.Add(-1)
-		if !s.lockEntry(w, r, "session", entry.lk) {
-			return
-		}
-		root := obs.SpanFrom(r.Context())
-		if root != nil {
-			root.Session = id
-			entry.sess.SetRecordTraceID(root.TraceID)
-		}
-		span := root.StartChild("serve")
-		entry.evs = entry.evs[:0]
-		start := time.Now()
 		d, err := entry.sess.Serve(req.Server, req.Time)
-		elapsed := time.Since(start)
-		n := entry.sess.N()
-		closed := entry.sess.Closed()
-		events := eventsLabel(entry.evs)
-		entry.lk.unlock()
+		s.endServe(w, r, &sv, served{one: datacache.PoolDecision{Decision: d}, err: err})
+	case op == "requests" && r.Method == http.MethodPost:
+		items, err := decodeBatch[SessionBatchRequest](w, r)
 		if err != nil {
-			if span != nil {
-				span.Session = id
-				span.Error = true
-				span.End()
-			}
-			status := http.StatusBadRequest
-			if closed {
-				status = http.StatusConflict
-			}
-			s.httpError(w, r, status, err)
+			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		annotateServeSpan(span, id, d, events,
-			shadowDivergenceLabel(entry.sess.ShadowNames(), d.ShadowDiverged))
-		if root != nil && root.Sampled() {
-			s.decisionSec.ObserveExemplar(elapsed.Seconds(), root.TraceID)
-		} else {
-			s.decisionSec.Observe(elapsed.Seconds())
+		reqs := make([]model.Request, len(items))
+		for i, it := range items {
+			reqs[i] = model.Request{Server: it.Server, Time: it.at()}
 		}
-		buf := getBuffer()
-		buf.b, err = appendSessionDecision(buf.b, id, n, &d)
-		s.sendReply(w, r, http.StatusOK, buf, err)
-	case op == "requests" && r.Method == http.MethodPost:
-		s.handleSessionBatch(w, r, id, entry)
+		sv := serveOp{id: id, sess: entry}
+		if !s.beginServe(w, r, &sv) {
+			return
+		}
+		res, err := entry.sess.ServeBatch(r.Context(), reqs)
+		s.endServe(w, r, &sv, served{batch: res, reqs: len(reqs), err: err})
 	case op == "" && r.Method == http.MethodGet:
 		if !s.lockEntry(w, r, "session", entry.lk) {
 			return

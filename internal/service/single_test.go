@@ -164,36 +164,47 @@ func TestTracesAfterCloseOnWrappedStore(t *testing.T) {
 	}
 }
 
-// TestSingleServeAllocations pins what one in-process single serve on an
-// SC session allocates, middleware, span and log call included.
+// TestSingleServeAllocations pins what one in-process single serve
+// allocates, middleware, span and log call included: on an SC session,
+// and on an SC pool serving one item.
 func TestSingleServeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers at random")
 	}
-	srv := New()
-	w := fuzzCall(srv, http.MethodPost, "/v1/session", []byte(`{"m":16,"origin":1,"model":{"mu":1,"lambda":2}}`), false)
-	var st SessionState
-	if w.Code != http.StatusCreated || json.Unmarshal(w.Body.Bytes(), &st) != nil {
-		t.Fatalf("create: status %d: %s", w.Code, w.Body)
-	}
-	const runs = 200
-	reqs := make([]*http.Request, runs+1)
-	for i := range reqs {
-		body := fmt.Sprintf(`{"server":%d,"time":%g}`, 1+i%16, 0.5*float64(i+1))
-		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/session/"+st.ID+"/request", strings.NewReader(body))
-	}
-	nw := &nullWriter{h: http.Header{}}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		nw.code = http.StatusOK
-		srv.ServeHTTP(nw, reqs[next])
-		next++
-		if nw.code != http.StatusOK {
-			t.Fatalf("serve %d: status %d", next, nw.code)
+	for _, c := range []struct {
+		route, create, body string // body takes a server and a time
+		bound               float64
+	}{
+		{"/v1/session", `{"m":16,"origin":1,"model":{"mu":1,"lambda":2}}`, `{"server":%d,"time":%g}`, 25},
+		{"/v1/pool", `{"m":16,"origin":1,"model":{"mu":1,"lambda":2}}`, `{"item":"a","server":%d,"t":%g}`, 24},
+	} {
+		srv := New()
+		w := fuzzCall(srv, http.MethodPost, c.route, []byte(c.create), false)
+		var st struct {
+			ID string `json:"id"`
 		}
-	})
-	const bound = 27
-	if allocs > bound {
-		t.Errorf("a single serve allocates %v times, want at most %d", allocs, bound)
+		if w.Code != http.StatusCreated || json.Unmarshal(w.Body.Bytes(), &st) != nil {
+			t.Fatalf("create %s: status %d: %s", c.route, w.Code, w.Body)
+		}
+		const runs = 200
+		reqs := make([]*http.Request, runs+1)
+		for i := range reqs {
+			body := fmt.Sprintf(c.body, 1+i%16, 0.5*float64(i+1))
+			reqs[i] = httptest.NewRequest(http.MethodPost, c.route+"/"+st.ID+"/request", strings.NewReader(body))
+		}
+		nw := &nullWriter{h: http.Header{}}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			nw.code = http.StatusOK
+			srv.ServeHTTP(nw, reqs[next])
+			next++
+			if nw.code != http.StatusOK {
+				t.Fatalf("%s serve %d: status %d", c.route, next, nw.code)
+			}
+		})
+		t.Logf("%s: %v allocations per single serve", c.route, allocs)
+		if allocs > c.bound {
+			t.Errorf("a single serve on %s allocates %v times, want at most %v", c.route, allocs, c.bound)
+		}
 	}
 }
