@@ -519,9 +519,10 @@ func BenchmarkOptimizeBatch(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results := offline.OptimizeBatch(items, workers)
-				if _, err := offline.TotalCost(results); err != nil {
-					b.Fatal(err)
+				for _, r := range offline.OptimizeBatch(items, workers) {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
 				}
 			}
 		})
@@ -592,7 +593,7 @@ func BenchmarkFaultedRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cloudsim.RunWithFaults(seq, benchModel, online.SpeculativeCaching{}, faults, 10); err != nil {
+		if _, err := cloudsim.RunWithFaults(seq, benchModel, faults, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

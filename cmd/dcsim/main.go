@@ -110,8 +110,7 @@ func serve(spec string, seq *model.Sequence, cm model.CostModel) (*datacache.Onl
 
 // dumpTrace serves the sequence through a Session running the policy,
 // with an unbounded ring as its observer, and prints the event stream —
-// the exact schema /v1/session/{id}/trace serves for live traffic and
-// the simulator's RunTraced records.
+// the exact schema /v1/session/{id}/trace serves for live traffic.
 func dumpTrace(seq *model.Sequence, cm model.CostModel, policy string) error {
 	ring := &obs.Ring{} // unbounded: offline dumps want the full stream
 	sess, err := datacache.NewSession(seq.M, seq.Origin, cm, &datacache.SessionOptions{Policy: policy, Observer: ring})

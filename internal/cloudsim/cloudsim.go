@@ -50,9 +50,6 @@ func (e *Env) Model() model.CostModel { return e.sim.cm }
 // Now returns the current simulation time.
 func (e *Env) Now() float64 { return e.sim.now }
 
-// HasCopy reports whether server holds a live copy.
-func (e *Env) HasCopy(server model.ServerID) bool { return e.sim.holds[server] }
-
 // Copies returns the servers currently holding copies, in id order.
 func (e *Env) Copies() []model.ServerID {
 	var out []model.ServerID

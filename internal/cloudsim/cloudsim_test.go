@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"datacache/internal/model"
+	"datacache/internal/obs"
 	"datacache/internal/online"
 	"datacache/internal/workload"
 )
@@ -211,4 +212,23 @@ func (r *timerRecorder) Init(env *Env) {
 func (r *timerRecorder) OnRequest(*Env, model.ServerID, float64) {}
 func (r *timerRecorder) OnTimer(env *Env, server model.ServerID, now float64) {
 	r.fired = append(r.fired, now)
+}
+
+// The simulator's trace vocabulary lives on as the first five obs event
+// kinds; a trace of any run (dcsim -trace, a session's trace route) names
+// its events with them.
+func TestTraceKindString(t *testing.T) {
+	names := map[obs.EventKind]string{
+		obs.KindRequest:   "request",
+		obs.KindHit:       "hit",
+		obs.KindTransfer:  "transfer",
+		obs.KindDrop:      "drop",
+		obs.KindTimer:     "timer",
+		obs.EventKind(99): "kind(99)",
+	}
+	for k, want := range names {
+		if got := k.String(); got != want {
+			t.Errorf("String(%d) = %q, want %q", int(k), got, want)
+		}
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"datacache/internal/model"
-	"datacache/internal/online"
 )
 
 // Fault is an injected copy loss: whatever copy server holds at time At
@@ -25,16 +24,16 @@ type Fault struct {
 // upload), so costs are accounted directly instead of through the
 // feasibility validator.
 type FaultReport struct {
-	Policy    string
 	Cost      float64 // caching + transfers + uploads
 	Transfers int
 	Uploads   int // β-uploads after total copy loss
 	Lost      int // faults that actually destroyed a copy
 }
 
-// RunWithFaults replays a request sequence through an SC-family policy
-// while injecting copy losses. The policy itself is the production SC rule
-// set (window, refresh, expiry); the harness layers faults on top:
+// RunWithFaults replays a request sequence through speculative caching at
+// the break-even window Δt while injecting copy losses. The policy itself
+// is the production SC rule set (window, refresh, expiry); the harness
+// layers faults on top:
 //
 //   - a fault deletes the server's live copy immediately (policy timers for
 //     it become stale);
@@ -44,8 +43,7 @@ type FaultReport struct {
 //
 // The report's accounting identity — caching time·μ + transfers·λ +
 // uploads·β — is checked by tests against an independent recomputation.
-func RunWithFaults(seq *model.Sequence, cm model.CostModel, policy online.SpeculativeCaching,
-	faults []Fault, beta float64) (*FaultReport, error) {
+func RunWithFaults(seq *model.Sequence, cm model.CostModel, faults []Fault, beta float64) (*FaultReport, error) {
 	if err := seq.Validate(); err != nil {
 		return nil, err
 	}
@@ -55,10 +53,7 @@ func RunWithFaults(seq *model.Sequence, cm model.CostModel, policy online.Specul
 	if beta < 0 || math.IsNaN(beta) || math.IsInf(beta, 0) {
 		return nil, fmt.Errorf("cloudsim: upload cost β=%v must be finite and non-negative", beta)
 	}
-	window := policy.Window
-	if window <= 0 {
-		window = cm.Delta()
-	}
+	window := cm.Delta()
 	fs := append([]Fault(nil), faults...)
 	sort.Slice(fs, func(a, b int) bool { return fs[a].At < fs[b].At })
 	for _, f := range fs {
@@ -77,7 +72,7 @@ func RunWithFaults(seq *model.Sequence, cm model.CostModel, policy online.Specul
 	}
 	st.alive[seq.Origin] = true
 	st.expiry[seq.Origin] = window
-	rep := &FaultReport{Policy: policy.Name()}
+	rep := &FaultReport{}
 
 	fi := 0
 	end := seq.End()

@@ -14,7 +14,7 @@ func TestNoFaultsMatchesClosedFormSC(t *testing.T) {
 	rng := rand.New(rand.NewSource(239))
 	for trial := 0; trial < 80; trial++ {
 		seq := workload.MarkovHop{M: 4, Stay: 0.6, MeanGap: 0.8}.Generate(rng, 1+rng.Intn(40))
-		rep, err := RunWithFaults(seq, model.Unit, online.SpeculativeCaching{}, nil, 10)
+		rep, err := RunWithFaults(seq, model.Unit, nil, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestTotalLossTriggersUpload(t *testing.T) {
 		{Server: 1, Time: 3},
 	}}
 	const beta = 7.5
-	rep, err := RunWithFaults(seq, cm, online.SpeculativeCaching{}, []Fault{{Server: 1, At: 2}}, beta)
+	rep, err := RunWithFaults(seq, cm, []Fault{{Server: 1, At: 2}}, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFaultOnReplicaRecoversViaTransfer(t *testing.T) {
 		{Server: 2, Time: 2.1},
 		{Server: 1, Time: 2.5}, // s1 was faulted at 2.0: transfer, not upload
 	}}
-	rep, err := RunWithFaults(seq, cm, online.SpeculativeCaching{}, []Fault{{Server: 1, At: 2.0}}, 100)
+	rep, err := RunWithFaults(seq, cm, []Fault{{Server: 1, At: 2.0}}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFaultOnReplicaRecoversViaTransfer(t *testing.T) {
 
 func TestFaultOnDeadServerIsNoop(t *testing.T) {
 	seq := &model.Sequence{M: 2, Origin: 1, Requests: []model.Request{{Server: 1, Time: 1}}}
-	rep, err := RunWithFaults(seq, model.Unit, online.SpeculativeCaching{}, []Fault{{Server: 2, At: 0.5}}, 5)
+	rep, err := RunWithFaults(seq, model.Unit, []Fault{{Server: 2, At: 0.5}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +91,16 @@ func TestFaultOnDeadServerIsNoop(t *testing.T) {
 
 func TestFaultValidation(t *testing.T) {
 	seq := &model.Sequence{M: 2, Origin: 1, Requests: []model.Request{{Server: 1, Time: 1}}}
-	if _, err := RunWithFaults(seq, model.Unit, online.SpeculativeCaching{}, []Fault{{Server: 9, At: 1}}, 1); err == nil {
+	if _, err := RunWithFaults(seq, model.Unit, []Fault{{Server: 9, At: 1}}, 1); err == nil {
 		t.Error("out-of-range fault accepted")
 	}
-	if _, err := RunWithFaults(seq, model.Unit, online.SpeculativeCaching{}, nil, -1); err == nil {
+	if _, err := RunWithFaults(seq, model.Unit, nil, -1); err == nil {
 		t.Error("negative β accepted")
 	}
-	if _, err := RunWithFaults(seq, model.Unit, online.SpeculativeCaching{}, nil, math.Inf(1)); err == nil {
+	if _, err := RunWithFaults(seq, model.Unit, nil, math.Inf(1)); err == nil {
 		t.Error("infinite β accepted")
 	}
-	if _, err := RunWithFaults(&model.Sequence{M: 0}, model.Unit, online.SpeculativeCaching{}, nil, 1); err == nil {
+	if _, err := RunWithFaults(&model.Sequence{M: 0}, model.Unit, nil, 1); err == nil {
 		t.Error("invalid sequence accepted")
 	}
 }
@@ -114,7 +114,7 @@ func TestFaultStormCostMonotoneInBeta(t *testing.T) {
 		faults = append(faults, Fault{Server: model.ServerID(1 + int(ft)%3), At: ft})
 	}
 	costAt := func(beta float64) float64 {
-		rep, err := RunWithFaults(seq, model.Unit, online.SpeculativeCaching{}, faults, beta)
+		rep, err := RunWithFaults(seq, model.Unit, faults, beta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -128,6 +130,19 @@ func TestHeteroReport(t *testing.T) {
 	if rep.Table.Rows[0][3] != "0" {
 		t.Errorf("zero-skew gap = %q, want 0", rep.Table.Rows[0][3])
 	}
+	// The regret of assuming homogeneity grows with skew: the gap at
+	// skew 0.8 (the last row) exceeds the gap at skew 0.1.
+	low, err := strconv.ParseFloat(rep.Table.Rows[1][3], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	high, err := strconv.ParseFloat(rep.Table.Rows[5][3], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if low < 0 || high <= low {
+		t.Errorf("gap at skew 0.1 = %v, at 0.8 = %v; want 0 <= gap(0.1) < gap(0.8)", low, high)
+	}
 }
 
 func TestReplicationAblation(t *testing.T) {
@@ -160,6 +175,17 @@ func TestEpochAblation(t *testing.T) {
 	}
 	if len(rep.Table.Rows) != 7 {
 		t.Fatalf("rows = %d", len(rep.Table.Rows))
+	}
+	// The per-epoch note reads the worst epoch of every finite epoch size
+	// against its own sub-instance's optimum: Theorem 3 bounds it by 3.
+	var perEpoch float64
+	for _, note := range rep.Notes {
+		if _, err := fmt.Sscanf(note, "worst per-epoch ratio, each epoch against its own sub-instance's OPT: %g", &perEpoch); err == nil {
+			break
+		}
+	}
+	if perEpoch < 1 || perEpoch > 3 {
+		t.Errorf("worst per-epoch ratio = %v, want within [1, 3]; notes %q", perEpoch, rep.Notes)
 	}
 }
 

@@ -33,11 +33,11 @@ func Faults(seed int64, n int) (*Report, error) {
 	horizon := seq.End()
 	for _, rate := range []float64{0, 0.02, 0.05, 0.1, 0.25} {
 		faults := poissonFaults(rand.New(rand.NewSource(seed+7)), seq.M, horizon, rate)
-		cheap, err := cloudsim.RunWithFaults(seq, cm, online.SpeculativeCaching{}, faults, 2)
+		cheap, err := cloudsim.RunWithFaults(seq, cm, faults, 2)
 		if err != nil {
 			return nil, err
 		}
-		dear, err := cloudsim.RunWithFaults(seq, cm, online.SpeculativeCaching{}, faults, 20)
+		dear, err := cloudsim.RunWithFaults(seq, cm, faults, 20)
 		if err != nil {
 			return nil, err
 		}

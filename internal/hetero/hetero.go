@@ -164,23 +164,6 @@ func cheapestTransfer(h *Model, keep, dst int) float64 {
 	return best
 }
 
-// HomogeneousGap runs the homogeneous-optimal schedule's cost model against
-// the heterogeneous truth: it prices the homogeneous FastDP schedule under
-// the heterogeneous model and compares with the heterogeneous optimum.
-// The returned gap is (priced − optimal) / optimal, the relative regret of
-// assuming homogeneity (experiment E9).
-func HomogeneousGap(seq *model.Sequence, cm model.CostModel, h *Model, sched *model.Schedule) (gap float64, err error) {
-	opt, err := Optimal(seq, h)
-	if err != nil {
-		return 0, err
-	}
-	priced := PriceSchedule(sched, h)
-	if opt <= 0 {
-		return 0, nil
-	}
-	return (priced - opt) / opt, nil
-}
-
 // PriceSchedule prices an arbitrary schedule under the heterogeneous model.
 func PriceSchedule(s *model.Schedule, h *Model) float64 {
 	total := 0.0

@@ -92,15 +92,17 @@ func TestHomogeneousGapGrowsWithSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The gap is E9's regret of assuming homogeneity: the homogeneous
+	// optimum priced under the skewed truth, relative to the skewed optimum.
 	gapAt := func(eps float64, seed int64) float64 {
 		h := NewUniform(seq.M, cm)
 		pr := rand.New(rand.NewSource(seed))
 		h.Perturb(eps, pr.Float64)
-		gap, err := HomogeneousGap(seq, cm, h, sched)
+		opt, err := Optimal(seq, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return gap
+		return (PriceSchedule(sched, h) - opt) / opt
 	}
 	small := gapAt(0.01, 7)
 	large := gapAt(0.8, 7)

@@ -4,14 +4,13 @@ import (
 	"sort"
 )
 
-// Cursor answers point-in-time queries against a normalized schedule:
-// which servers hold copies at time t, and how much cost has accrued
-// through t. Queries are O(log |schedule|) after an O(|schedule| log)
-// build, so a UI or operator tool can scrub along the timeline cheaply.
+// Cursor answers point-in-time queries against a normalized schedule: how
+// much cost has accrued through t. Queries are O(log |schedule|) after an
+// O(|schedule| log) build, so one schedule can be priced at many instants
+// cheaply.
 type Cursor struct {
 	cm        CostModel
-	caches    []CacheInterval // sorted by From
-	transfers []Transfer      // sorted by Time
+	transfers []Transfer // sorted by Time
 	// prefix[i] = caching time of caches[:i] fully elapsed... caching cost
 	// through t needs partial intervals, so we keep starts and ends sorted
 	// separately and use the identity:
@@ -30,7 +29,7 @@ func NewCursor(seq *Sequence, s *Schedule, cm CostModel) *Cursor {
 		Transfers: append([]Transfer(nil), s.Transfers...),
 	}
 	norm.Normalize()
-	c := &Cursor{cm: cm, caches: norm.Caches, transfers: norm.Transfers}
+	c := &Cursor{cm: cm, transfers: norm.Transfers}
 	for _, h := range norm.Caches {
 		c.starts = append(c.starts, h.From)
 		c.ends = append(c.ends, h.To)
@@ -47,23 +46,6 @@ func prefixSums(xs []float64) []float64 {
 	for i, x := range xs {
 		out[i+1] = out[i] + x
 	}
-	return out
-}
-
-// HoldersAt returns the servers holding a copy at time t, ascending.
-func (c *Cursor) HoldersAt(t float64) []ServerID {
-	var out []ServerID
-	seen := map[ServerID]bool{}
-	for _, h := range c.caches {
-		if h.From > t {
-			break
-		}
-		if h.Contains(t) && !seen[h.Server] {
-			seen[h.Server] = true
-			out = append(out, h.Server)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
@@ -85,17 +67,4 @@ func (c *Cursor) CostThrough(t float64) float64 {
 
 	nTr := sort.Search(len(c.transfers), func(i int) bool { return c.transfers[i].Time > t })
 	return c.cm.Mu*elapsed + c.cm.Lambda*float64(nTr)
-}
-
-// TotalCost returns the full schedule cost (equals CostThrough at or past
-// the last event).
-func (c *Cursor) TotalCost() float64 {
-	last := 0.0
-	if n := len(c.ends); n > 0 {
-		last = c.ends[n-1]
-	}
-	if n := len(c.transfers); n > 0 && c.transfers[n-1].Time > last {
-		last = c.transfers[n-1].Time
-	}
-	return c.CostThrough(last)
 }

@@ -6,34 +6,6 @@ import (
 	"testing"
 )
 
-func TestCursorHoldersAt(t *testing.T) {
-	seq := fig2Sequence()
-	s := validSchedule(seq)
-	s.AddCache(2, 0.5, 3.2)
-	s.Normalize()
-	c := NewCursor(seq, s, Unit)
-
-	cases := []struct {
-		t    float64
-		want []ServerID
-	}{
-		{0, []ServerID{1}},
-		{1.0, []ServerID{1, 2}},
-		{3.5, []ServerID{1}},
-	}
-	for _, tc := range cases {
-		got := c.HoldersAt(tc.t)
-		if len(got) != len(tc.want) {
-			t.Fatalf("HoldersAt(%v) = %v, want %v", tc.t, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("HoldersAt(%v) = %v, want %v", tc.t, got, tc.want)
-			}
-		}
-	}
-}
-
 func TestCursorCostMatchesScheduleCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(251))
 	for trial := 0; trial < 100; trial++ {
@@ -58,8 +30,8 @@ func TestCursorCostMatchesScheduleCost(t *testing.T) {
 		s.Normalize()
 		cm := CostModel{Mu: 0.5 + rng.Float64(), Lambda: 0.5 + rng.Float64()}
 		c := NewCursor(seq, &s, cm)
-		if got, want := c.TotalCost(), s.Cost(cm); math.Abs(got-want) > 1e-9*(1+want) {
-			t.Fatalf("trial %d: cursor total %v != schedule cost %v", trial, got, want)
+		if got, want := c.CostThrough(seq.End()), s.Cost(cm); math.Abs(got-want) > 1e-9*(1+want) {
+			t.Fatalf("trial %d: cursor cost at the horizon %v != schedule cost %v", trial, got, want)
 		}
 		// Monotone and bounded partial costs at random probes.
 		prev := -1.0
@@ -95,8 +67,8 @@ func TestCursorPartialCostByHand(t *testing.T) {
 	if got := c.CostThrough(1); math.Abs(got-(2*1+5)) > 1e-12 {
 		t.Errorf("CostThrough(1) = %v, want 7", got)
 	}
-	if got := c.TotalCost(); math.Abs(got-(2*6+5)) > 1e-12 {
-		t.Errorf("TotalCost = %v, want 17", got)
+	if got := c.CostThrough(4); math.Abs(got-(2*6+5)) > 1e-12 {
+		t.Errorf("CostThrough(4) = %v, want 17", got)
 	}
 }
 
@@ -104,7 +76,7 @@ func TestCursorEmptySchedule(t *testing.T) {
 	seq := &Sequence{M: 2, Origin: 1}
 	var s Schedule
 	c := NewCursor(seq, &s, Unit)
-	if c.TotalCost() != 0 || len(c.HoldersAt(1)) != 0 {
-		t.Error("empty cursor not empty")
+	if got := c.CostThrough(1); got != 0 {
+		t.Errorf("empty cursor CostThrough(1) = %v, want 0", got)
 	}
 }

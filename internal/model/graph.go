@@ -1,7 +1,5 @@
 package model
 
-import "fmt"
-
 // SpaceTimeGraph is the weighted directed graph of Definition 2. Vertices
 // v_{j,i} correspond to time t_i on server s^j (row 0 is the external
 // storage row of the definition, kept for fidelity but unused by the
@@ -63,42 +61,4 @@ func BuildSpaceTimeGraph(seq *Sequence, cm CostModel) *SpaceTimeGraph {
 		}
 	}
 	return g
-}
-
-// NumVertices returns (m+1) * (n+1), counting the external-storage row.
-func (g *SpaceTimeGraph) NumVertices() int { return (g.M + 1) * len(g.Times) }
-
-// RequestVertex returns the (row, col) coordinates of request vertex r_i.
-func (g *SpaceTimeGraph) RequestVertex(i int) (row, col int) {
-	if i < 0 || i >= len(g.Reqs) {
-		panic(fmt.Sprintf("model: request vertex %d out of range 0..%d", i, len(g.Reqs)-1))
-	}
-	return g.Reqs[i], i
-}
-
-// ScheduleWeight prices a schedule by summing the graph edges it uses: the
-// cache edges spanned by its intervals and one transfer edge per transfer.
-// For schedules in standard form this equals Schedule.Cost; the method exists
-// so tests can confirm the equivalence of the two views.
-func (g *SpaceTimeGraph) ScheduleWeight(s *Schedule, cm CostModel) float64 {
-	total := cm.Lambda * float64(len(s.Transfers))
-	for i := 1; i < len(g.Times); i++ {
-		segFrom, segTo := g.Times[i-1], g.Times[i]
-		for j := 1; j <= g.M; j++ {
-			if scheduleCovers(s, ServerID(j), segFrom, segTo) {
-				total += cm.Mu * (segTo - segFrom)
-			}
-		}
-	}
-	return total
-}
-
-// scheduleCovers reports whether s caches server sv over all of [from, to].
-func scheduleCovers(s *Schedule, sv ServerID, from, to float64) bool {
-	for _, h := range s.Caches {
-		if h.Server == sv && h.From <= from+timeEps && to <= h.To+timeEps {
-			return true
-		}
-	}
-	return false
 }

@@ -49,13 +49,3 @@ func Metrics(seq *Sequence, s *Schedule) []ServerMetrics {
 	}
 	return out
 }
-
-// TotalCachedTime sums the cached time across servers — the μ-weighted part
-// of the schedule cost divided by Mu.
-func TotalCachedTime(ms []ServerMetrics) float64 {
-	total := 0.0
-	for _, m := range ms {
-		total += m.CachedTime
-	}
-	return total
-}

@@ -33,8 +33,12 @@ func TestMetricsBreakdown(t *testing.T) {
 	if s2.CachedTime != 0 || s2.Utilization != 0 {
 		t.Errorf("s2 cached = %v", s2.CachedTime)
 	}
-	if got := TotalCachedTime(ms); math.Abs(got-seq.End()) > 1e-12 {
-		t.Errorf("total cached time = %v, want %v", got, seq.End())
+	total := 0.0
+	for _, m := range ms {
+		total += m.CachedTime
+	}
+	if math.Abs(total-seq.End()) > 1e-12 {
+		t.Errorf("total cached time = %v, want %v", total, seq.End())
 	}
 }
 

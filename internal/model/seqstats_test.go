@@ -34,21 +34,3 @@ func TestAnalyzeSequenceEmpty(t *testing.T) {
 		t.Errorf("empty stats = %+v", st)
 	}
 }
-
-func TestCacheFriendliness(t *testing.T) {
-	seq := fig2Sequence()
-	st := AnalyzeSequence(seq)
-	// At λ=μ=1: gaps {1.4, 2.1, 0.6, 3.2}, only 0.6 <= 1 → 1/4.
-	if got := st.CacheFriendliness(seq, Unit); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("friendliness = %v, want 0.25", got)
-	}
-	// At λ=4: all four gaps within the window.
-	if got := st.CacheFriendliness(seq, CostModel{Mu: 1, Lambda: 4}); got != 1 {
-		t.Errorf("friendliness = %v, want 1", got)
-	}
-	// No revisits at all.
-	single := &Sequence{M: 2, Origin: 1, Requests: []Request{{Server: 2, Time: 1}}}
-	if got := AnalyzeSequence(single).CacheFriendliness(single, Unit); got != 0 {
-		t.Errorf("no-revisit friendliness = %v, want 0", got)
-	}
-}

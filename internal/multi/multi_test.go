@@ -166,54 +166,6 @@ func TestPlanPropagatesItemFailure(t *testing.T) {
 	}
 }
 
-func TestGenerateEvents(t *testing.T) {
-	loads := []ItemLoad{
-		{Item: "a", Gen: workload.Uniform{M: 4, MeanGap: 0.5}, N: 30},
-		{Item: "b", Gen: workload.Zipf{M: 4, S: 1.5, MeanGap: 0.8}, N: 20},
-	}
-	events, err := GenerateEvents(4, loads, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 50 {
-		t.Fatalf("events = %d, want 50", len(events))
-	}
-	cat := &Catalog{M: 4, Default: model.Unit}
-	perItem, names, err := Demultiplex(cat, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || perItem["a"].N() != 30 || perItem["b"].N() != 20 {
-		t.Fatalf("split = %v (%d/%d)", names, perItem["a"].N(), perItem["b"].N())
-	}
-	// Deterministic per seed.
-	again, err := GenerateEvents(4, loads, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range events {
-		if events[i] != again[i] {
-			t.Fatalf("event %d differs between identical seeds", i)
-		}
-	}
-}
-
-func TestGenerateEventsErrors(t *testing.T) {
-	good := ItemLoad{Item: "a", Gen: workload.Uniform{M: 2, MeanGap: 1}, N: 5}
-	if _, err := GenerateEvents(0, []ItemLoad{good}, 1); err == nil {
-		t.Error("m=0 accepted")
-	}
-	if _, err := GenerateEvents(2, []ItemLoad{{Gen: good.Gen, N: 5}}, 1); err == nil {
-		t.Error("unnamed item accepted")
-	}
-	if _, err := GenerateEvents(2, []ItemLoad{{Item: "a", N: 5}}, 1); err == nil {
-		t.Error("nil generator accepted")
-	}
-	if _, err := GenerateEvents(3, []ItemLoad{good}, 1); err == nil {
-		t.Error("m mismatch accepted")
-	}
-}
-
 func TestEmptyStream(t *testing.T) {
 	c := testCatalog()
 	reports, total, err := Plan(c, nil, 2)

@@ -7,9 +7,9 @@
 // It is deliberately stdlib-only and dependency-free in the other
 // direction too: obs imports nothing from the rest of the module, so the
 // decision engine, the discrete-event simulator and the HTTP service can
-// all report through it without import cycles. internal/cloudsim's
-// TraceEvent/TraceKind/Recorder are aliases of the types below, so the
-// simulator and the live engine emit one schema.
+// all report through it without import cycles. The root package's
+// TraceEvent is an alias of Event, so a session trace and an engine trace
+// are one schema.
 package obs
 
 import (
@@ -18,7 +18,7 @@ import (
 )
 
 // EventKind labels one observed decision event. The first five values
-// mirror the original cloudsim trace vocabulary (and keep its numbering);
+// keep the numbering of the simulator's original trace vocabulary;
 // KindEpochReset extends it for SC's epoch restarts.
 type EventKind int8
 

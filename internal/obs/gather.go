@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 )
 
 // Quantile estimates the q-quantile (0 < q < 1) of the observed
@@ -110,13 +109,4 @@ func (r *Registry) Gather(visit func(MetricPoint)) {
 // history selectors (dctop, dcload) without hand-formatting labels.
 func SeriesKey(name string, labelNames, labelValues []string) string {
 	return name + labelString(labelNames, labelValues, "", "")
-}
-
-// FamilyOf splits a series key back into its family name ("" if the key
-// is malformed) — the inverse of MetricPoint.Key for selector matching.
-func FamilyOf(key string) string {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i]
-	}
-	return key
 }

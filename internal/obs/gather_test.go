@@ -124,13 +124,10 @@ func TestRegistryGather(t *testing.T) {
 	})
 }
 
-// TestSeriesKeyFamilyOf round-trips the selector helpers.
-func TestSeriesKeyFamilyOf(t *testing.T) {
+// TestSeriesKey checks the selector helper against MetricPoint.Key's form.
+func TestSeriesKey(t *testing.T) {
 	key := SeriesKey("dc_x", []string{"session"}, []string{"sn-1"})
 	if key != `dc_x{session="sn-1"}` {
 		t.Fatalf("SeriesKey = %q", key)
-	}
-	if FamilyOf(key) != "dc_x" || FamilyOf("dc_y") != "dc_y" {
-		t.Fatalf("FamilyOf mismatch")
 	}
 }

@@ -211,14 +211,6 @@ func (v *CounterVec) With(values ...string) *Counter { return v.f.get(values).(*
 // Delete removes the series for the given label values.
 func (v *CounterVec) Delete(values ...string) { v.f.delete(values) }
 
-// Each visits every series in unspecified order.
-func (v *CounterVec) Each(fn func(labelValues []string, value int64)) {
-	v.f.series.Range(func(k, m interface{}) bool {
-		fn(splitKey(k.(string), len(v.f.labels)), m.(*Counter).Value())
-		return true
-	})
-}
-
 // GaugeVec is a family of gauges distinguished by label values.
 type GaugeVec struct{ f *family }
 

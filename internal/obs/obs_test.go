@@ -12,6 +12,14 @@ import (
 	"testing"
 )
 
+// Each visits every series in unspecified order.
+func (v *CounterVec) Each(fn func(labelValues []string, value int64)) {
+	v.f.series.Range(func(k, m interface{}) bool {
+		fn(splitKey(k.(string), len(v.f.labels)), m.(*Counter).Value())
+		return true
+	})
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	var c Counter
 	c.Inc()

@@ -54,18 +54,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	}
 }
 
-// Exemplars returns the trace ids currently attached to the histogram's
-// buckets (order unspecified); used by tests and the console.
-func (h *Histogram) Exemplars() []string {
-	var out []string
-	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
-			out = append(out, e.traceID)
-		}
-	}
-	return out
-}
-
 // WriteOpenMetrics renders every family in the OpenMetrics 1.0 text
 // format, families and series sorted for deterministic scrapes.
 // Registered collectors run first, as in WritePrometheus.

@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// Exemplars returns the trace ids currently attached to the histogram's
+// buckets (order unspecified).
+func (h *Histogram) Exemplars() []string {
+	var out []string
+	for i := range h.exemplars {
+		if e := h.exemplars[i].Load(); e != nil {
+			out = append(out, e.traceID)
+		}
+	}
+	return out
+}
+
 func TestWriteOpenMetrics(t *testing.T) {
 	r := NewRegistry()
 	c := r.CounterVec("dc_http_requests_total", "Requests served.", "route")

@@ -10,9 +10,6 @@ import (
 // use. A Ring is not safe for concurrent use; callers that share one
 // across goroutines (such as the HTTP session registry) must hold their
 // own lock, which they already do to serialize the underlying session.
-//
-// internal/cloudsim's Recorder is an alias of this type, so simulator
-// traces and live engine traces are interchangeable.
 type Ring struct {
 	// Cap bounds the retained log; <= 0 retains everything.
 	Cap int

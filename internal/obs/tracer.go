@@ -27,9 +27,9 @@ import (
 // overrides it.
 const DefaultSpanCap = 4096
 
-// maxSpansPerTrace bounds how many children one root buffers; a batch of
-// tens of thousands of requests keeps the first maxSpansPerTrace serve
-// spans and counts the rest in TraceSummary.SpansDropped.
+// maxSpansPerTrace bounds how many spans, the root included, one trace
+// buffers; a batch of tens of thousands of requests keeps its first serve
+// spans and mints none past the bound.
 const maxSpansPerTrace = 512
 
 // Span is one timed operation of a trace. Identifier fields hold the
@@ -65,7 +65,6 @@ type rootState struct {
 	sampled bool
 	flushed bool
 	spans   []*Span
-	dropped int
 }
 
 // SpanExporter receives every span the tracer decides to keep.
@@ -162,9 +161,11 @@ func (t *Tracer) StartRoot(name string, parent SpanContext) *Span {
 }
 
 // StartChild opens a child span below s, sharing its trace and buffer.
-// Safe on a nil span (returns nil), so call sites need no tracing guard.
+// It returns nil when the trace already buffers maxSpansPerTrace spans or
+// its root has ended, since End would drop such a child, and on a nil
+// span; a caller sets fields only on a non-nil child.
 func (s *Span) StartChild(name string) *Span {
-	if s == nil {
+	if s == nil || s.root.flushed || len(s.root.spans) >= maxSpansPerTrace {
 		return nil
 	}
 	t := s.tracer
@@ -246,13 +247,11 @@ func (s *Span) End() bool {
 	s.ended = true
 	s.Duration = s.tracer.now().Sub(s.Start).Seconds()
 	if s.root.spans[0] != s {
-		// A child: buffer onto the root unless the trace is already full
-		// or flushed (a straggler ending after its root is dropped).
-		if s.root.flushed || len(s.root.spans) >= maxSpansPerTrace {
-			s.root.dropped++
-			return false
+		// A child: buffer onto the root unless the trace filled up or
+		// was flushed after the child started (a straggler is dropped).
+		if !s.root.flushed && len(s.root.spans) < maxSpansPerTrace {
+			s.root.spans = append(s.root.spans, s)
 		}
-		s.root.spans = append(s.root.spans, s)
 		return false
 	}
 	return s.tracer.flush(s.root)

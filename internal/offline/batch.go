@@ -83,16 +83,3 @@ func OptimizeBatchCtx(ctx context.Context, items []BatchItem, workers int) []Bat
 	wg.Wait()
 	return out
 }
-
-// TotalCost sums the costs of a batch, returning the first error
-// encountered (in input order) if any item failed.
-func TotalCost(results []BatchResult) (float64, error) {
-	total := 0.0
-	for _, r := range results {
-		if r.Err != nil {
-			return 0, r.Err
-		}
-		total += r.Cost
-	}
-	return total, nil
-}

@@ -17,7 +17,6 @@
 package offline
 
 import (
-	"fmt"
 	"math"
 
 	"datacache/internal/model"
@@ -252,15 +251,4 @@ func SweepDP(seq *model.Sequence, cm model.CostModel) (*Result, error) {
 		res.relaxC(i)
 	}
 	return res, nil
-}
-
-// VerifyBound confirms B_n <= C(n), the Definition-5 lower-bound property.
-// It returns an error describing the violation, if any; tests use it as a
-// cheap self-check on every optimization.
-func (r *Result) VerifyBound() error {
-	n := len(r.C) - 1
-	if r.B[n] > r.C[n]+1e-9 {
-		return fmt.Errorf("offline: running bound B_n=%v exceeds optimal cost C_n=%v", r.B[n], r.C[n])
-	}
-	return nil
 }

@@ -72,3 +72,43 @@ func TestGraphAllRequestsReachable(t *testing.T) {
 		}
 	}
 }
+
+// GraphAllRequestsReachable is a structural sanity check on the space-time
+// graph: from the origin vertex, every request vertex is reachable through
+// cache and transfer edges. It returns the number of reachable request
+// vertices; TestGraphAllRequestsReachable asserts it equals n.
+func GraphAllRequestsReachable(seq *model.Sequence, cm model.CostModel) (int, error) {
+	if err := seq.Validate(); err != nil {
+		return 0, err
+	}
+	g := model.BuildSpaceTimeGraph(seq, cm)
+	reach := 0
+	// In a fully connected star per column with rightward cache edges,
+	// reachability is trivial — every column is reachable — but the check
+	// walks the actual edge lists so that graph construction bugs surface.
+	type vertex struct{ row, col int }
+	adj := map[vertex][]vertex{}
+	for _, e := range g.CacheEdges {
+		adj[vertex{e.FromRow, e.FromCol}] = append(adj[vertex{e.FromRow, e.FromCol}], vertex{e.ToRow, e.ToCol})
+	}
+	for _, e := range g.TransferEdges {
+		adj[vertex{e.FromRow, e.FromCol}] = append(adj[vertex{e.FromRow, e.FromCol}], vertex{e.ToRow, e.ToCol})
+	}
+	seen := map[vertex]bool{}
+	stack := []vertex{{int(seq.Origin), 0}}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		stack = append(stack, adj[v]...)
+	}
+	for i := 1; i <= seq.N(); i++ {
+		if seen[vertex{g.Reqs[i], i}] {
+			reach++
+		}
+	}
+	return reach, nil
+}

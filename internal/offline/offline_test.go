@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,16 @@ import (
 const eps = 1e-9
 
 func approxEq(a, b float64) bool { return math.Abs(a-b) <= 1e-6 }
+
+// VerifyBound confirms B_n <= C(n), the Definition-5 lower-bound property.
+// It returns an error describing the violation, if any.
+func (r *Result) VerifyBound() error {
+	n := len(r.C) - 1
+	if r.B[n] > r.C[n]+1e-9 {
+		return fmt.Errorf("offline: running bound B_n=%v exceeds optimal cost C_n=%v", r.B[n], r.C[n])
+	}
+	return nil
+}
 
 // randomInstance draws a small random instance for cross-checking the three
 // solvers against each other.

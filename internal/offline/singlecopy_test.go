@@ -192,13 +192,6 @@ func TestOptimizeBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("item %d: batch %v != sequential %v", i, r.Cost, want.Cost())
 		}
 	}
-	total, err := TotalCost(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total <= 0 {
-		t.Errorf("total = %v", total)
-	}
 }
 
 func TestOptimizeBatchFailureIsolation(t *testing.T) {
@@ -214,9 +207,6 @@ func TestOptimizeBatchFailureIsolation(t *testing.T) {
 	}
 	if results[1].Err == nil || results[2].Err == nil {
 		t.Error("bad items did not error")
-	}
-	if _, err := TotalCost(results); err == nil {
-		t.Error("TotalCost swallowed the failure")
 	}
 }
 

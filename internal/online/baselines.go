@@ -45,23 +45,6 @@ func (KeepEverywhere) Run(seq *model.Sequence, cm model.CostModel) (*model.Sched
 	return engine.Replay(&engine.Replicate{}, seq, cm)
 }
 
-// Oracle is the off-line optimum exposed through the Runner interface, so
-// policy-comparison reports can include OPT as a row. It is not an online
-// algorithm: it sees the whole sequence.
-type Oracle struct{}
-
-// Name implements Runner.
-func (Oracle) Name() string { return "OPT (offline)" }
-
-// Run implements Runner.
-func (Oracle) Run(seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
-	res, err := offline.FastDP(seq, cm)
-	if err != nil {
-		return nil, err
-	}
-	return res.Schedule()
-}
-
 // CompetitivePoint is one measured ratio sample.
 type CompetitivePoint struct {
 	Policy string

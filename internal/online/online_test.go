@@ -12,6 +12,23 @@ import (
 
 func approxEq(a, b float64) bool { return math.Abs(a-b) <= 1e-6*(1+math.Abs(a)+math.Abs(b)) }
 
+// Oracle is the off-line optimum exposed through the Runner interface, so
+// the policy tests can run OPT beside the online policies. It is not an
+// online algorithm: it sees the whole sequence.
+type Oracle struct{}
+
+// Name implements Runner.
+func (Oracle) Name() string { return "OPT (offline)" }
+
+// Run implements Runner.
+func (Oracle) Run(seq *model.Sequence, cm model.CostModel) (*model.Schedule, error) {
+	res, err := offline.FastDP(seq, cm)
+	if err != nil {
+		return nil, err
+	}
+	return res.Schedule()
+}
+
 // randomSequence draws a workload with mixed bursts and gaps so that both
 // cache hits and misses occur.
 func randomSequence(rng *rand.Rand, m, n int, spread float64) *model.Sequence {

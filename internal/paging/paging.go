@@ -1,8 +1,8 @@
 // Package paging implements the classic capacity-oriented caching problem —
 // the left column of the paper's Table I — so the comparison between the two
 // paradigms can be measured rather than merely asserted: Belady's off-line
-// MIN algorithm [5] against the k-competitive online policies (LRU, FIFO)
-// of Sleator and Tarjan [16], counting page faults on a fixed-size cache.
+// MIN algorithm [5] against the k-competitive LRU of Sleator and
+// Tarjan [16], counting page faults on a fixed-size cache.
 //
 // The contrast with the cloud data caching problem is the point: there the
 // off-line optimum needs the O(mn) dynamic program of Section IV and the
@@ -82,51 +82,6 @@ func LRU(refs []Page, k int) (faults int, err error) {
 		lastUse[p] = i
 	}
 	return faults, nil
-}
-
-// FIFO counts the faults of first-in-first-out eviction on a cache of
-// size k.
-func FIFO(refs []Page, k int) (faults int, err error) {
-	if k < 1 {
-		return 0, fmt.Errorf("paging: cache size %d must be positive", k)
-	}
-	inCache := map[Page]bool{}
-	var queue []Page
-	for _, p := range refs {
-		if inCache[p] {
-			continue
-		}
-		faults++
-		if len(queue) >= k {
-			victim := queue[0]
-			queue = queue[1:]
-			delete(inCache, victim)
-		}
-		queue = append(queue, p)
-		inCache[p] = true
-	}
-	return faults, nil
-}
-
-// Ratio returns the fault ratio of an online policy against Belady on the
-// same reference string and cache size (1 when both fault equally or the
-// optimum never faults with faults matching).
-func Ratio(online func([]Page, int) (int, error), refs []Page, k int) (float64, error) {
-	on, err := online(refs, k)
-	if err != nil {
-		return 0, err
-	}
-	opt, err := Belady(refs, k)
-	if err != nil {
-		return 0, err
-	}
-	if opt == 0 {
-		if on == 0 {
-			return 1, nil
-		}
-		return float64(on), nil
-	}
-	return float64(on) / float64(opt), nil
 }
 
 // CyclicAdversary builds the classic nemesis of LRU: round-robin references

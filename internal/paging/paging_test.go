@@ -1,7 +1,6 @@
 package paging
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -29,23 +28,6 @@ func TestLRUTextbookExample(t *testing.T) {
 	}
 }
 
-func TestFIFOBeladyAnomalyTrace(t *testing.T) {
-	// The canonical Belady-anomaly trace: FIFO faults 9 times at k=3 and 10
-	// times at k=4 — more cache, more faults.
-	refs := []Page{1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5}
-	f3, err := FIFO(refs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f4, err := FIFO(refs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f3 != 9 || f4 != 10 {
-		t.Errorf("FIFO faults = (%d, %d), want (9, 10)", f3, f4)
-	}
-}
-
 func TestInvalidCacheSizes(t *testing.T) {
 	refs := []Page{1, 2}
 	if _, err := Belady(refs, 0); err == nil {
@@ -54,13 +36,13 @@ func TestInvalidCacheSizes(t *testing.T) {
 	if _, err := LRU(refs, 0); err == nil {
 		t.Error("LRU accepted k=0")
 	}
-	if _, err := FIFO(refs, -1); err == nil {
-		t.Error("FIFO accepted k=-1")
+	if _, err := LRU(refs, -1); err == nil {
+		t.Error("LRU accepted k=-1")
 	}
 }
 
 func TestEmptyAndTinyTraces(t *testing.T) {
-	for _, f := range []func([]Page, int) (int, error){Belady, LRU, FIFO} {
+	for _, f := range []func([]Page, int) (int, error){Belady, LRU} {
 		if got, err := f(nil, 2); err != nil || got != 0 {
 			t.Errorf("empty trace: (%d, %v)", got, err)
 		}
@@ -91,17 +73,13 @@ func TestBeladyNeverWorseThanOnlinePolicies(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fifo, err := FIFO(refs, k)
-		if err != nil {
-			return false
-		}
 		distinct := map[Page]bool{}
 		for _, p := range refs {
 			distinct[p] = true
 		}
 		// Every first touch faults, so compulsory misses lower-bound all
-		// policies; Belady lower-bounds the online ones.
-		return opt <= lru && opt <= fifo && opt >= len(distinct)
+		// policies; Belady lower-bounds LRU.
+		return opt <= lru && opt >= len(distinct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -118,59 +96,16 @@ func TestCyclicAdversaryExhibitsKGap(t *testing.T) {
 	if lru != n {
 		t.Errorf("LRU on the cyclic adversary faults %d of %d, want every access", lru, n)
 	}
-	r, err := Ratio(LRU, refs, k)
+	opt, err := Belady(refs, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The competitive gap approaches k on this trace.
+	r := float64(lru) / float64(opt)
 	if r < float64(k)-1 {
 		t.Errorf("LRU/Belady ratio = %v, want ≈k = %d", r, k)
 	}
 	if r > float64(k)+1 {
 		t.Errorf("LRU/Belady ratio = %v implausibly above k = %d", r, k)
-	}
-}
-
-func TestRatioDegenerateCases(t *testing.T) {
-	// Everything fits: both policies only take compulsory misses.
-	refs := []Page{1, 2, 1, 2, 1}
-	r, err := Ratio(LRU, refs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 1 {
-		t.Errorf("ratio = %v, want 1", r)
-	}
-}
-
-func TestLRUBeatsFIFOOnLocalTraces(t *testing.T) {
-	// Strong temporal locality favors LRU over FIFO on average.
-	rng := rand.New(rand.NewSource(41))
-	better, worse := 0, 0
-	for trial := 0; trial < 50; trial++ {
-		var refs []Page
-		cur := Page(0)
-		for i := 0; i < 400; i++ {
-			if rng.Float64() < 0.7 {
-				// revisit a recent page
-				cur = Page(int(cur) + rng.Intn(3) - 1)
-				if cur < 0 {
-					cur = 0
-				}
-			} else {
-				cur = Page(rng.Intn(30))
-			}
-			refs = append(refs, cur)
-		}
-		lru, _ := LRU(refs, 6)
-		fifo, _ := FIFO(refs, 6)
-		if lru < fifo {
-			better++
-		} else if lru > fifo {
-			worse++
-		}
-	}
-	if better <= worse {
-		t.Errorf("LRU better on %d traces, worse on %d; expected LRU to dominate", better, worse)
 	}
 }

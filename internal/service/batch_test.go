@@ -2,14 +2,17 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
+	"datacache"
 	"datacache/internal/offline"
 	"datacache/internal/online"
 )
@@ -441,5 +444,71 @@ func TestEventBufferBounded(t *testing.T) {
 	batch(MaxBatchRequests, 64)
 	if c := cap(e.evs); c == 0 || c > maxEventBuffer {
 		t.Errorf("a 64-request batch left an event buffer of capacity %d, want one kept, at most %d", c, maxEventBuffer)
+	}
+}
+
+// TestLargeBatchServeCost serves one MaxBatchRequests session batch and
+// checks what it costs and what it leaves: the serve mints no span that
+// the trace would drop and sizes its reply once, so it stays within a
+// fixed malloc budget; the trace keeps its first 512 spans (obs's bound
+// per trace, the root included);
+// and the reply is byte for byte encoding/json's encoding of the DTO a
+// datacache.Session reference builds.
+func TestLargeBatchServeCost(t *testing.T) {
+	srv := New()
+	w := fuzzCall(srv, http.MethodPost, "/v1/session", []byte(`{"m":4,"origin":1,"model":{"mu":1,"lambda":1}}`), false)
+	var st SessionState
+	if w.Code != http.StatusCreated || json.Unmarshal(w.Body.Bytes(), &st) != nil {
+		t.Fatalf("create: status %d: %s", w.Code, w.Body)
+	}
+	ref, err := datacache.NewSession(4, 1, datacache.CostModel{Mu: 1, Lambda: 1}, &datacache.SessionOptions{
+		TraceCap: srv.traceCap, SLOWindow: srv.sloWindow, ShadowMargin: srv.shadowMargin,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]datacache.Request, MaxBatchRequests)
+	var body bytes.Buffer
+	body.WriteByte('[')
+	for i := range reqs {
+		reqs[i] = datacache.Request{Server: datacache.ServerID(1 + i%4), Time: 2.5 * float64(i+1)}
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"server":%d,"t":%g}`, reqs[i].Server, reqs[i].Time)
+	}
+	body.WriteByte(']')
+	r := httptest.NewRequest(http.MethodPost, "/v1/session/"+st.ID+"/requests", &body)
+	w = httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.ServeHTTP(w, r)
+	runtime.ReadMemStats(&after)
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("one %d-request batch: %d mallocs, %d bytes", MaxBatchRequests, mallocs, after.TotalAlloc-before.TotalAlloc)
+	if !raceEnabled && mallocs > 5000 {
+		t.Errorf("one %d-request batch made %d mallocs, want at most 5000", MaxBatchRequests, mallocs)
+	}
+
+	res, err := ref.ServeBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(sessionBatchResponse(st.ID, ref.N(), res)); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("status %d; the %d-byte reply differs from the %d-byte encoding/json reference", w.Code, w.Body.Len(), want.Len())
+	}
+
+	spans := srv.tracer.TraceSpans(strings.Split(w.Header().Get("Traceparent"), "-")[1])
+	if len(spans) != 512 {
+		t.Fatalf("the batch's trace stores %d spans, want 512", len(spans))
+	}
+	for i, sp := range spans[1:] {
+		if sp.Name != "serve" || sp.Server != int(res.Decisions[i].Server) {
+			t.Fatalf("span %d is %s on server %d, want the serve of decision %d on server %d", i+1, sp.Name, sp.Server, i, res.Decisions[i].Server)
+		}
 	}
 }

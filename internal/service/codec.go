@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -389,6 +390,10 @@ func (e *jsonAppender) raw(s string) { e.b = append(e.b, s...) }
 func (e *jsonAppender) int(v int)    { e.b = strconv.AppendInt(e.b, int64(v), 10) }
 func (e *jsonAppender) bool(v bool)  { e.b = strconv.AppendBool(e.b, v) }
 
+// reserve grows the buffer once for count more items of size bytes each,
+// so a large batch reply is not grown by repeated doubling.
+func (e *jsonAppender) reserve(size, count int) { e.b = slices.Grow(e.b, size*count) }
+
 // float follows encoding/json's float64 rule: the shortest 'f' form,
 // except 'e' when |f| < 1e-6 or |f| >= 1e21, with a two-digit negative
 // exponent cut to one digit (e-07 becomes e-7).
@@ -553,9 +558,13 @@ func appendSessionBatch(b []byte, id string, n int, res *datacache.ServeBatchRes
 		if i > 0 {
 			e.raw(",")
 		}
+		start := len(e.b)
 		e.raw("{")
 		e.decision(&res.Decisions[i])
 		e.raw("}")
+		if i == 0 {
+			e.reserve(len(e.b)-start+1, len(res.Decisions)-1)
+		}
 	}
 	e.tail(res.Cost, res.Optimal, res.Ratio)
 	return e.b, e.err
@@ -585,7 +594,11 @@ func appendPoolBatch(b []byte, id string, n int, res *datacache.PoolBatchResult)
 		if i > 0 {
 			e.raw(",")
 		}
+		start := len(e.b)
 		e.poolDecision(id, &res.Decisions[i])
+		if i == 0 {
+			e.reserve(len(e.b)-start+1, len(res.Decisions)-1)
+		}
 	}
 	e.tail(res.Cost, res.Optimal, res.Ratio)
 	return e.b, e.err

@@ -100,7 +100,8 @@ func (s *Server) beginServe(w http.ResponseWriter, r *http.Request, op *serveOp)
 // clock, reads N and the decisions' event labels under the lock and
 // unlocks, answers a rejected single request 400 and a canceled batch
 // 499, observes the batch-size and decision-latency histograms, opens one
-// serve child span per applied decision and sends the reply.
+// serve child span per applied decision (none past the tracer's bound per
+// trace) and sends the reply.
 func (s *Server) endServe(w http.ResponseWriter, r *http.Request, op *serveOp, res served) {
 	elapsed := time.Since(op.start)
 	_, lk, inflight := op.entry()

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"strings"
 )
@@ -42,69 +41,6 @@ func Sparkline(xs []float64) string {
 			idx := int((x - lo) / (hi - lo) * float64(len(sparkGlyphs)-1))
 			b.WriteRune(sparkGlyphs[idx])
 		}
-	}
-	return b.String()
-}
-
-// Histogram renders a fixed-width ASCII histogram of a sample over `bins`
-// equal-width buckets, one line per bucket:
-//
-//	[0.00, 0.50)  ######         12
-//
-// Degenerate samples (empty, or zero spread) render a single line.
-func Histogram(xs []float64, bins, width int) string {
-	if bins < 1 {
-		bins = 10
-	}
-	if width < 1 {
-		width = 40
-	}
-	clean := make([]float64, 0, len(xs))
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		clean = append(clean, x)
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if len(clean) == 0 {
-		return "(no data)\n"
-	}
-	if hi == lo {
-		return fmt.Sprintf("[%.4g]  %s  %d\n", lo, strings.Repeat("#", width), len(clean))
-	}
-	counts := make([]int, bins)
-	for _, x := range clean {
-		idx := int((x - lo) / (hi - lo) * float64(bins))
-		if idx >= bins {
-			idx = bins - 1
-		}
-		counts[idx]++
-	}
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		from := lo + (hi-lo)*float64(i)/float64(bins)
-		to := lo + (hi-lo)*float64(i+1)/float64(bins)
-		bar := 0
-		if maxCount > 0 {
-			bar = int(math.Round(float64(c) / float64(maxCount) * float64(width)))
-		}
-		if c > 0 && bar == 0 {
-			bar = 1
-		}
-		fmt.Fprintf(&b, "[%8.4g, %8.4g)  %-*s  %d\n", from, to, width, strings.Repeat("#", bar), c)
 	}
 	return b.String()
 }

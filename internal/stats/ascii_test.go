@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"strconv"
-	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -44,56 +42,5 @@ func TestSparklineDegenerate(t *testing.T) {
 	allNaN := Sparkline([]float64{math.NaN(), math.NaN()})
 	if allNaN != "  " {
 		t.Errorf("all-NaN = %q", allNaN)
-	}
-}
-
-func TestHistogramCountsAndBars(t *testing.T) {
-	xs := []float64{0, 0.1, 0.2, 0.9, 0.95, 1.0, 1.0, 1.0}
-	out := Histogram(xs, 4, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	total := 0
-	maxBar := 0
-	for _, line := range lines {
-		fields := strings.Fields(line)
-		n, err := strconv.Atoi(fields[len(fields)-1])
-		if err != nil {
-			t.Fatalf("no trailing count in %q", line)
-		}
-		total += n
-		if bar := strings.Count(line, "#"); bar > maxBar {
-			maxBar = bar
-		}
-		if n == 0 && strings.Contains(line, "#") {
-			t.Errorf("empty bucket has a bar: %q", line)
-		}
-		if n > 0 && !strings.Contains(line, "#") {
-			t.Errorf("non-empty bucket lacks a bar: %q", line)
-		}
-	}
-	if total != len(xs) {
-		t.Errorf("counts sum to %d, want %d", total, len(xs))
-	}
-	if maxBar != 20 {
-		t.Errorf("fullest bucket bar = %d, want the full width 20", maxBar)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	if got := Histogram(nil, 4, 10); got != "(no data)\n" {
-		t.Errorf("empty = %q", got)
-	}
-	if got := Histogram([]float64{math.NaN()}, 4, 10); got != "(no data)\n" {
-		t.Errorf("NaN-only = %q", got)
-	}
-	flat := Histogram([]float64{3, 3, 3}, 4, 10)
-	if !strings.Contains(flat, "3") || !strings.Contains(flat, "##########") {
-		t.Errorf("flat = %q", flat)
-	}
-	// Defaults kick in for nonsense parameters.
-	if got := Histogram([]float64{1, 2}, 0, 0); !strings.Contains(got, "#") {
-		t.Errorf("defaults = %q", got)
 	}
 }

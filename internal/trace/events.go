@@ -11,38 +11,13 @@ import (
 	"datacache/internal/multi"
 )
 
-// WriteEventsCSV writes an item-tagged event stream:
+// ReadEventsCSV parses the item-tagged event format, returning the cluster
+// size and the time-ordered stream:
 //
 //	#datacache-events m=<m>
 //	item,server,time
 //	profile-42,2,0.5
 //	...
-//
-// The stream must be time-ordered (multi.Demultiplex validates per-item
-// monotonicity on read).
-func WriteEventsCSV(w io.Writer, m int, events []multi.Event) error {
-	if m < 1 {
-		return fmt.Errorf("trace: events header needs m >= 1, got %d", m)
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "#datacache-events m=%d\n", m)
-	fmt.Fprintln(bw, "item,server,time")
-	last := 0.0
-	for i, e := range events {
-		if strings.ContainsAny(e.Item, ",\n") {
-			return fmt.Errorf("trace: item name %q contains a separator", e.Item)
-		}
-		if i > 0 && e.Time < last {
-			return fmt.Errorf("trace: event %d out of order", i)
-		}
-		last = e.Time
-		fmt.Fprintf(bw, "%s,%d,%s\n", e.Item, e.Server, strconv.FormatFloat(e.Time, 'g', -1, 64))
-	}
-	return bw.Flush()
-}
-
-// ReadEventsCSV parses the item-tagged event format, returning the cluster
-// size and the time-ordered stream.
 func ReadEventsCSV(r io.Reader) (m int, events []multi.Event, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,6 +15,30 @@ import (
 	"datacache/internal/multi"
 	"datacache/internal/workload"
 )
+
+// WriteEventsCSV writes an item-tagged event stream in the format
+// ReadEventsCSV parses. The stream must be time-ordered (multi.Demultiplex
+// validates per-item monotonicity on read).
+func WriteEventsCSV(w io.Writer, m int, events []multi.Event) error {
+	if m < 1 {
+		return fmt.Errorf("trace: events header needs m >= 1, got %d", m)
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "#datacache-events m=%d\n", m)
+	fmt.Fprintln(bw, "item,server,time")
+	last := 0.0
+	for i, e := range events {
+		if strings.ContainsAny(e.Item, ",\n") {
+			return fmt.Errorf("trace: item name %q contains a separator", e.Item)
+		}
+		if i > 0 && e.Time < last {
+			return fmt.Errorf("trace: event %d out of order", i)
+		}
+		last = e.Time
+		fmt.Fprintf(bw, "%s,%d,%s\n", e.Item, e.Server, strconv.FormatFloat(e.Time, 'g', -1, 64))
+	}
+	return bw.Flush()
+}
 
 func randomEvents(t *testing.T, n int) (int, []multi.Event) {
 	t.Helper()

@@ -124,28 +124,3 @@ func ReadJSON(r io.Reader) (*model.Sequence, error) {
 	}
 	return &seq, nil
 }
-
-// WriteScheduleJSON writes a schedule as JSON (normalized first, so the
-// output prices each cached second once).
-func WriteScheduleJSON(w io.Writer, s *model.Schedule) error {
-	norm := &model.Schedule{
-		Caches:    append([]model.CacheInterval(nil), s.Caches...),
-		Transfers: append([]model.Transfer(nil), s.Transfers...),
-	}
-	norm.Normalize()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(norm)
-}
-
-// ReadScheduleJSON parses a schedule. Feasibility against a particular
-// instance is the caller's concern (model.Schedule.Validate); the parse
-// only normalizes.
-func ReadScheduleJSON(r io.Reader) (*model.Schedule, error) {
-	var s model.Schedule
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	s.Normalize()
-	return &s, nil
-}

@@ -113,30 +113,6 @@ func TestReadJSONErrors(t *testing.T) {
 	}
 }
 
-func TestScheduleJSONRoundTrip(t *testing.T) {
-	var s model.Schedule
-	s.AddCache(1, 0, 2.5)
-	s.AddCache(2, 1, 3)
-	s.AddTransfer(1, 2, 1)
-	var buf bytes.Buffer
-	if err := WriteScheduleJSON(&buf, &s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadScheduleJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cost(model.Unit) != s.Cost(model.Unit) {
-		t.Errorf("cost drift: %v vs %v", got.Cost(model.Unit), s.Cost(model.Unit))
-	}
-	if len(got.Caches) != 2 || len(got.Transfers) != 1 {
-		t.Errorf("shape drift: %+v", got)
-	}
-	if _, err := ReadScheduleJSON(strings.NewReader("nope")); err == nil {
-		t.Error("malformed schedule accepted")
-	}
-}
-
 func TestCSVPreservesFullPrecision(t *testing.T) {
 	// Times with no short decimal representation must round-trip bit-exact
 	// through the 'g', -1 encoding.

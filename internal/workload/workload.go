@@ -229,45 +229,6 @@ func (a Adversarial) Generate(rng *rand.Rand, n int) *model.Sequence {
 	return seq
 }
 
-// Diurnal modulates a Poisson arrival process with a day/night cycle by
-// thinning: candidate arrivals at the peak rate are kept with probability
-// proportional to a raised sinusoid of the given period. Server choice is
-// sticky (as MarkovHop) so the workload combines temporal and spatial
-// structure — the closest thing in the suite to a real service trace.
-type Diurnal struct {
-	M       int
-	Period  float64 // length of one day
-	PeakGap float64 // mean inter-arrival at the busiest moment
-	Night   float64 // valley intensity as a fraction of peak, in [0,1]
-	Stay    float64 // server stickiness
-}
-
-// Name implements Generator.
-func (d Diurnal) Name() string { return fmt.Sprintf("diurnal(m=%d,T=%g)", d.M, d.Period) }
-
-// Generate implements Generator.
-func (d Diurnal) Generate(rng *rand.Rand, n int) *model.Sequence {
-	night := math.Min(math.Max(d.Night, 0), 1)
-	seq := &model.Sequence{M: d.M, Origin: 1}
-	cur := model.ServerID(1 + rng.Intn(d.M))
-	t := 0.0
-	for len(seq.Requests) < n {
-		t += expGap(rng, d.PeakGap)
-		// Raised sinusoid in [night, 1]: peak mid-day, valley mid-night.
-		phase := (1 - math.Cos(2*math.Pi*t/d.Period)) / 2
-		keep := night + (1-night)*phase
-		if rng.Float64() > keep {
-			continue
-		}
-		if rng.Float64() >= d.Stay && d.M > 1 {
-			hop := 1 + rng.Intn(d.M-1)
-			cur = model.ServerID(1 + (int(cur-1)+hop)%d.M)
-		}
-		seq.Requests = append(seq.Requests, model.Request{Server: cur, Time: t})
-	}
-	return seq
-}
-
 // MultiUser interleaves several independent sticky users, each with its own
 // home region, into one request stream. This is the regime the cloud data
 // service actually faces — concurrent locality at several servers at once —

@@ -158,41 +158,6 @@ func TestExpGapFloor(t *testing.T) {
 	}
 }
 
-func TestDiurnalCycleShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	d := Diurnal{M: 4, Period: 24, PeakGap: 0.02, Night: 0.05, Stay: 0.8}
-	seq := d.Generate(rng, 6000)
-	if err := seq.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Mid-day windows must carry far more traffic than mid-night windows.
-	day, nightCount := 0, 0
-	for _, r := range seq.Requests {
-		phase := r.Time - 24*float64(int(r.Time/24))
-		switch {
-		case phase > 9 && phase < 15: // around the peak at 12
-			day++
-		case phase < 3 || phase > 21: // around the valley at 0/24
-			nightCount++
-		}
-	}
-	if day < 5*nightCount {
-		t.Errorf("day/night = %d/%d, want strong diurnal skew", day, nightCount)
-	}
-}
-
-func TestDiurnalNightClamped(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	d := Diurnal{M: 2, Period: 10, PeakGap: 0.1, Night: -3, Stay: 0.5}
-	seq := d.Generate(rng, 100)
-	if err := seq.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if seq.N() != 100 {
-		t.Fatalf("n = %d", seq.N())
-	}
-}
-
 func TestMultiUserInterleavesHomes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	seq := MultiUser{M: 6, Users: 3, Stay: 0.95, MeanGap: 0.3}.Generate(rng, 3000)

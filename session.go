@@ -14,8 +14,8 @@ import (
 
 // TraceEvent is one typed entry of a session's decision trace: a request
 // arriving, a cache hit, a transfer, a drop, a speculative deadline firing,
-// or an epoch restart. It is the same schema the simulator's Recorder uses
-// (internal/cloudsim.TraceEvent), so offline and live traces are
+// or an epoch restart. It is the schema engine.Stream's observer emits
+// (internal/obs.Event), so a session trace and an engine trace are
 // interchangeable.
 type TraceEvent = obs.Event
 
