@@ -367,22 +367,37 @@ func (f *family) rows() []row {
 // WritePrometheus renders every family in the Prometheus text exposition
 // format (version 0.0.4), families and series sorted for deterministic
 // scrapes. Registered collectors run first.
-func (r *Registry) WritePrometheus(w io.Writer) {
+func (r *Registry) WritePrometheus(w io.Writer) { r.write(w, false) }
+
+// write renders every family in the Prometheus text format or, with om,
+// in OpenMetrics 1.0 (openmetrics.go says how the two differ).
+func (r *Registry) write(w io.Writer, om bool) {
 	for _, f := range r.snapshot() {
 		rows := f.rows()
 		if len(rows) == 0 {
 			continue
 		}
-		if f.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+		famName, sampleName := f.name, f.name
+		if om && f.typ == typeCounter {
+			famName = strings.TrimSuffix(famName, "_total")
+			if !strings.HasSuffix(sampleName, "_total") {
+				sampleName += "_total"
+			}
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+		if f.help != "" && !om {
+			fmt.Fprintf(w, "# HELP %s %s\n", famName, escapeHelp(f.help))
+		}
+		fmt.Fprintf(w, "# TYPE %s %s\n", famName, f.typ)
+		if f.help != "" && om {
+			fmt.Fprintf(w, "# HELP %s %s\n", famName, escapeHelp(f.help))
+		}
 		for _, rw := range rows {
+			labels := labelString(f.labels, rw.values, "", "")
 			switch m := rw.metric.(type) {
 			case *Counter:
-				fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, rw.values, "", ""), m.Value())
+				fmt.Fprintf(w, "%s%s %d\n", sampleName, labels, m.Value())
 			case *Gauge:
-				fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, rw.values, "", ""), formatFloat(m.Value()))
+				fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(m.Value()))
 			case *Histogram:
 				var cum int64
 				for i := range m.counts {
@@ -391,12 +406,19 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 					if i < len(m.bounds) {
 						le = formatFloat(m.bounds[i])
 					}
-					fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(f.labels, rw.values, "le", le), cum)
+					var ex string
+					if e := m.exemplars[i].Load(); om && e != nil {
+						ex = fmt.Sprintf(" # {trace_id=\"%s\"} %s %s", escapeLabel(e.traceID), formatFloat(e.value), formatTimestamp(e.ts))
+					}
+					fmt.Fprintf(w, "%s_bucket%s %d%s\n", f.name, labelString(f.labels, rw.values, "le", le), cum, ex)
 				}
-				fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelString(f.labels, rw.values, "", ""), formatFloat(m.Sum()))
-				fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(f.labels, rw.values, "", ""), cum)
+				fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labels, formatFloat(m.Sum()))
+				fmt.Fprintf(w, "%s_count%s %d\n", f.name, labels, cum)
 			}
 		}
+	}
+	if om {
+		fmt.Fprint(w, "# EOF\n")
 	}
 }
 

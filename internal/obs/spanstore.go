@@ -1,392 +1,214 @@
 package obs
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
-// The span store keeps the most recent cap kept spans in a ring, in the
-// order their traces were flushed, and beside it an index that answers
-// Exemplar, "the session's highest-regret retained trace", without
-// summarizing the store.
+// The span store keeps the most recent cap kept spans as records, one per
+// flushed trace, in flush order. A record holds a copy of the spans one
+// root End kept (flush makes it before it takes the tracer lock, and a
+// copy is one object to the garbage collector where the spans are one
+// each), the trace id, and the trace's summary as Traces would
+// fold the record alone: its owner, the first non-empty span session,
+// which is the session Traces files the trace under; its regret summed in
+// span order from zero; and its first span's start and duration. A count
+// of the stored records per trace id tells when a caller reused its
+// traceparent, so that Traces merges records.
 //
-// Each flush stores one group: the spans one root End kept, contiguous in
-// the ring. A group records its trace id and its owner, the first
-// non-empty session among its spans, which is the session Traces files
-// the trace under when no other stored group shares the trace id. The
-// index keeps, per owner, the candidate groups in flush order such that
-// each ranks no worse than every later one (a sliding-window maximum):
-// a new group pops the candidates it ranks before, and the ring, which
-// evicts oldest first, pops the front. The front is then what Traces
-// ranks first among the session's groups.
-//
-// Three cases leave that picture, and each is handled where it arises:
-//
-//   - The ring evicts a group's first spans before the rest. Only the
-//     oldest group can be partial; it leaves the index and Exemplar folds
-//     its remaining spans when asked.
-//   - Groups share a trace id (a caller reused its traceparent), so
-//     Traces merges them into one summary. Every such group marks its
-//     owner shared, and a shared owner's Exemplar walks the store as
-//     Traces does, until the ring has evicted all but one of the groups.
-//   - DropSession removes spans from groups that other sessions' spans
-//     share, or removes a group whose trace id is shared. It then
-//     rebuilds the index from the ring.
+// No stored span is written: eviction reslices a record's spans and
+// DropSession gives the record new ones. So Traces and TraceSpans copy
+// the records' span lists under the tracer lock and read the spans after
+// releasing it.
 type spanStore struct {
-	cap      int
-	spans    fifo[Span]
-	groups   fifo[spanGroup]
-	seq      uint64 // the last group's sequence number
-	traces   map[string]traceGroups
-	sessions map[string]*sessionTop
+	cap     int
+	n       int // stored spans
+	records fifo[record]
+	traces  map[string]int // stored records per trace id
 }
 
-// spanGroup is one flushed trace's stored spans.
-type spanGroup struct {
-	seq     uint64
-	trace   string
-	owner   string // first non-empty span session ("" for none)
-	n       int    // spans still stored
-	evicted bool   // the ring evicted its first spans
-	shared  bool   // another stored group has its trace id
-}
-
-// traceGroups counts the stored groups of one trace id.
-type traceGroups struct {
-	groups int
-	last   uint64 // sequence number of the newest
-}
-
-// candidate is a group as Traces would summarize it alone.
-type candidate struct {
-	seq      uint64
+// record is one flushed trace's stored spans and their summary.
+type record struct {
+	spans    []Span
 	trace    string
+	owner    string // first non-empty span session ("" for none)
+	mixed    bool   // a span has another non-empty session
 	regret   float64
 	start    time.Time
 	duration float64
 }
 
-// listed reports whether TraceQuery{Session: s, Limit: 1}, whose duration
-// and regret floors are zero, admits the summary.
-func (c *candidate) listed() bool { return !(c.regret < 0) && !(c.duration < 0) }
-
-// sessionTop is one owner's index entry.
-type sessionTop struct {
-	top    fifo[candidate] // flush order; each ranks no worse than the next
-	shared int             // stored groups it owns whose trace id is shared
+// fold summarizes the record's spans as Traces does one trace.
+func (r *record) fold() {
+	r.owner, r.mixed, r.regret = "", false, 0
+	r.start, r.duration = r.spans[0].Start, r.spans[0].Duration
+	for i := range r.spans {
+		sp := &r.spans[i]
+		r.regret += sp.Regret
+		if r.owner == "" {
+			r.owner = sp.Session
+		} else if sp.Session != "" && sp.Session != r.owner {
+			r.mixed = true
+		}
+	}
 }
+
+// listed reports whether TraceQuery{Limit: 1}, whose duration and regret
+// floors are zero, admits the record's summary.
+func (r *record) listed() bool { return !(r.regret < 0) && !(r.duration < 0) }
 
 func newSpanStore(cap int) spanStore {
-	return spanStore{
-		cap:      cap,
-		spans:    fifo[Span]{limit: cap},
-		groups:   fifo[spanGroup]{limit: cap},
-		traces:   map[string]traceGroups{},
-		sessions: map[string]*sessionTop{},
-	}
+	return spanStore{cap: cap, records: fifo[record]{limit: cap}, traces: map[string]int{}}
 }
 
-func (st *spanStore) len() int { return st.spans.n }
-
-// each visits retained spans oldest first.
-func (st *spanStore) each(fn func(*Span)) {
-	for i := 0; i < st.spans.n; i++ {
-		fn(st.spans.at(i))
-	}
-}
-
-// addTrace stores one flushed trace's spans, evicting the oldest past the
-// cap. A trace longer than the cap keeps its last cap spans.
-func (st *spanStore) addTrace(spans []*Span) {
-	evicted := len(spans) > st.cap
-	if evicted {
+// addTrace stores the copied spans of one flushed trace, evicting the
+// oldest past the cap. A trace longer than the cap keeps its last cap
+// spans.
+func (st *spanStore) addTrace(spans []Span) {
+	if len(spans) > st.cap {
 		spans = spans[len(spans)-st.cap:]
 	}
-	if over := st.spans.n + len(spans) - st.cap; over > 0 {
-		st.evict(over)
-	}
-	for _, sp := range spans {
-		*st.spans.extend() = *sp
-	}
-	st.seq++
-	g := st.groups.extend()
-	*g = spanGroup{seq: st.seq, trace: spans[0].TraceID, n: len(spans), evicted: evicted}
-	c := st.fold(st.spans.n-len(spans), g)
-	st.countTrace(g)
-	if !g.evicted {
-		st.list(g, c)
-	}
+	st.evict(st.n + len(spans) - st.cap)
+	r := st.records.extend()
+	*r = record{spans: spans, trace: spans[0].TraceID}
+	r.fold()
+	st.n += len(spans)
+	st.traces[r.trace]++
 }
 
-// fold summarizes the g.n spans from ring position from as Traces does
-// one trace: the first span's start and duration, the regret summed in
-// order from zero. It sets g's owner to the first non-empty session.
-func (st *spanStore) fold(from int, g *spanGroup) candidate {
-	first := st.spans.at(from)
-	c := candidate{seq: g.seq, trace: g.trace, start: first.Start, duration: first.Duration}
-	g.owner = ""
-	for i := from; i < from+g.n; i++ {
-		sp := st.spans.at(i)
-		c.regret += sp.Regret
-		if g.owner == "" {
-			g.owner = sp.Session
-		}
-	}
-	return c
-}
-
-// countTrace counts a new group under its trace id and marks the groups
-// that share it.
-func (st *spanStore) countTrace(g *spanGroup) {
-	tg := st.traces[g.trace]
-	tg.groups++
-	if tg.groups == 2 {
-		st.share(st.group(tg.last))
-	}
-	if tg.groups >= 2 {
-		st.share(g)
-	}
-	tg.last = g.seq
-	st.traces[g.trace] = tg
-}
-
-func (st *spanStore) share(g *spanGroup) {
-	if g.shared {
-		return
-	}
-	g.shared = true
-	if g.owner != "" {
-		st.entry(g.owner).shared++
-	}
-}
-
-func (st *spanStore) unshare(g *spanGroup) {
-	if !g.shared {
-		return
-	}
-	g.shared = false
-	if e := st.sessions[g.owner]; e != nil {
-		e.shared--
-		st.tidy(g.owner, e)
-	}
-}
-
-func (st *spanStore) entry(owner string) *sessionTop {
-	e := st.sessions[owner]
-	if e == nil {
-		e = &sessionTop{}
-		st.sessions[owner] = e
-	}
-	return e
-}
-
-// tidy deletes an entry that holds nothing.
-func (st *spanStore) tidy(owner string, e *sessionTop) {
-	if e.top.n == 0 && e.shared == 0 {
-		delete(st.sessions, owner)
-	}
-}
-
-// group finds a stored group by sequence number; groups are stored in
-// increasing sequence order.
-func (st *spanStore) group(seq uint64) *spanGroup {
-	i := sort.Search(st.groups.n, func(i int) bool { return st.groups.at(i).seq >= seq })
-	return st.groups.at(i)
-}
-
-// list enters a whole group into its owner's candidates.
-func (st *spanStore) list(g *spanGroup, c candidate) {
-	if g.owner == "" || !c.listed() {
-		return
-	}
-	top := &st.entry(g.owner).top
-	for top.n > 0 && ranksBefore(c.regret, c.start, top.back().regret, top.back().start) {
-		top.popBack()
-	}
-	*top.extend() = c
-}
-
-// evict drops the n oldest spans, group by group. A group leaves the
-// index the first time it loses a span, and its trace's count once it
-// has none left.
+// evict drops the n oldest spans: whole records from the front, and the
+// head of the record that keeps the rest.
 func (st *spanStore) evict(n int) {
-	st.spans.popFront(n)
 	for n > 0 {
-		g := st.groups.front()
-		if !g.evicted {
-			g.evicted = true
-			if e := st.sessions[g.owner]; e != nil && e.top.n > 0 && e.top.front().seq == g.seq {
-				e.top.popFront(1)
-				st.tidy(g.owner, e)
-			}
-		}
-		k := min(n, g.n)
-		g.n -= k
-		n -= k
-		if g.n > 0 {
+		r := st.records.front()
+		if len(r.spans) > n {
+			r.spans = r.spans[n:]
+			r.fold()
+			st.n -= n
 			return
 		}
-		tg := st.traces[g.trace]
-		st.unshare(g)
-		if tg.groups--; tg.groups == 0 {
-			delete(st.traces, g.trace)
-		} else {
-			st.traces[g.trace] = tg
-			if tg.groups == 1 {
-				st.unshare(st.group(tg.last)) // evicted oldest first: the newest is left
-			}
-		}
-		st.groups.popFront(1)
+		n -= len(r.spans)
+		st.remove(r)
+		st.records.popFront()
 	}
 }
 
-// dropSession removes every span of the session, compacting the ring in
-// place in ring order, so that a wrapped ring keeps its order.
+// remove uncounts a record that leaves the store.
+func (st *spanStore) remove(r *record) {
+	st.n -= len(r.spans)
+	if st.traces[r.trace]--; st.traces[r.trace] == 0 {
+		delete(st.traces, r.trace)
+	}
+}
+
+// dropSession removes every span of the session, keeping the records'
+// order. It reads the spans only of records the session may have spans
+// in, and a record that keeps some of them gets a new slice.
 func (st *spanStore) dropSession(session string) {
-	rebuild := false
-	read, write, kept := 0, 0, 0
-	for gi := 0; gi < st.groups.n; gi++ {
-		g := st.groups.at(gi)
-		left := 0
-		for end := read + g.n; read < end; read++ {
-			if sp := st.spans.at(read); sp.Session != session {
-				if write != read {
-					*st.spans.at(write) = *sp
+	kept := 0
+	for i := 0; i < st.records.n; i++ {
+		r := st.records.at(i)
+		if session == "" || r.owner == session || r.mixed {
+			left := 0
+			for j := range r.spans {
+				if r.spans[j].Session != session {
+					left++
 				}
-				write++
-				left++
+			}
+			switch {
+			case left == 0:
+				st.remove(r)
+				continue
+			case left < len(r.spans):
+				spans := make([]Span, 0, left)
+				for j := range r.spans {
+					if r.spans[j].Session != session {
+						spans = append(spans, r.spans[j])
+					}
+				}
+				st.n -= len(r.spans) - left
+				r.spans = spans
+				r.fold()
 			}
 		}
-		switch {
-		case left == 0:
-			// Nothing of the group is left, nor of its trace unless
-			// another group shares the trace id.
-			if g.shared {
-				rebuild = true
-			} else {
-				delete(st.traces, g.trace)
-			}
-			continue
-		case left < g.n:
-			g.n = left
-			rebuild = true
-		case g.owner == session:
-			// The partial oldest group, counted under the session whose
-			// spans the ring evicted from it: that entry goes below.
-			rebuild = true
-		}
-		if kept != gi {
-			*st.groups.at(kept) = *g
+		if kept != i {
+			*st.records.at(kept) = *r
 		}
 		kept++
 	}
-	st.spans.truncate(write)
-	st.groups.truncate(kept)
-	delete(st.sessions, session)
-	if rebuild {
-		st.reindex()
-	}
+	st.records.truncate(kept)
 }
 
-// reindex rebuilds the trace counts and every owner's candidates from the
-// stored groups.
-func (st *spanStore) reindex() {
-	clear(st.traces)
-	clear(st.sessions)
-	from := 0
-	for i := 0; i < st.groups.n; i++ {
-		g := st.groups.at(i)
-		g.shared = false
-		c := st.fold(from, g)
-		from += g.n
-		tg := st.traces[g.trace]
-		tg.groups++
-		tg.last = g.seq
-		st.traces[g.trace] = tg
-		if !g.evicted {
-			st.list(g, c)
+// exemplar scans the records the session owns (every record for "") for
+// the first that TraceQuery{Session: session, Limit: 1} lists, the
+// earliest winning a tie. It reports false when a scanned record's trace
+// id is shared: Traces merges that trace, and only it can answer.
+func (st *spanStore) exemplar(session string) (string, bool) {
+	var best *record
+	for i := 0; i < st.records.n; i++ {
+		r := st.records.at(i)
+		if session != "" && r.owner != session {
+			continue
 		}
-	}
-	for i := 0; i < st.groups.n; i++ {
-		if g := st.groups.at(i); st.traces[g.trace].groups > 1 {
-			st.share(g)
+		if st.traces[r.trace] > 1 {
+			return "", false
 		}
-	}
-}
-
-// exemplar is Tracer.Exemplar under the tracer's lock.
-func (st *spanStore) exemplar(session string) string {
-	e := st.sessions[session]
-	if session == "" || e != nil && e.shared > 0 {
-		return st.walk(session)
-	}
-	var best *candidate
-	if e != nil && e.top.n > 0 {
-		best = e.top.front()
-	}
-	if st.groups.n > 0 && st.groups.front().evicted {
-		// The partial oldest group: summarized from what is left of it.
-		g := *st.groups.front()
-		c := st.fold(0, &g)
-		if g.owner == session {
-			if st.traces[g.trace].groups > 1 {
-				return st.walk(session)
-			}
-			// Oldest, so it wins a tie.
-			if c.listed() && (best == nil || !ranksBefore(best.regret, best.start, c.regret, c.start)) {
-				best = &c
-			}
+		if r.listed() && (best == nil || ranksBefore(r.regret, r.start, best.regret, best.start)) {
+			best = r
 		}
 	}
 	if best == nil {
-		return ""
+		return "", true
 	}
-	return best.trace
+	return best.trace, true
 }
 
-// walk answers exemplar as Traces does, by summarizing every stored
-// trace.
-func (st *spanStore) walk(session string) string {
-	byTrace, order := st.summaries()
-	if ts := rankTraces(byTrace, order, TraceQuery{Session: session, Limit: 1}); len(ts) > 0 {
-		return ts[0].TraceID
+// spanLists copies the records' span lists, oldest first; with id set,
+// only those of that trace.
+func (st *spanStore) spanLists(id string) [][]Span {
+	var out [][]Span
+	if id == "" {
+		out = make([][]Span, 0, st.records.n)
+	} else if st.traces[id] == 0 {
+		return nil
 	}
-	return ""
+	for i := 0; i < st.records.n; i++ {
+		if r := st.records.at(i); id == "" || r.trace == id {
+			out = append(out, r.spans)
+		}
+	}
+	return out
 }
 
-// summaries folds the stored spans into one summary per trace id, in the
-// order each id first appears.
-func (st *spanStore) summaries() (map[string]*TraceSummary, []string) {
-	byTrace := map[string]*TraceSummary{}
-	var order []string
-	st.each(func(sp *Span) {
-		sum, ok := byTrace[sp.TraceID]
+// summarize folds span lists into one summary per trace id, in the order
+// each id first appears; records that share an id merge.
+func summarize(lists [][]Span) (map[string]*TraceSummary, []string) {
+	byTrace := make(map[string]*TraceSummary, len(lists))
+	order := make([]string, 0, len(lists))
+	for _, spans := range lists {
+		sum, ok := byTrace[spans[0].TraceID]
 		if !ok {
-			// Groups are stored contiguously with the local root first, so
-			// the first span seen per trace carries the root name/duration.
-			sum = &TraceSummary{
-				TraceID:  sp.TraceID,
-				Name:     sp.Name,
-				Start:    sp.Start,
-				Duration: sp.Duration,
-			}
+			// A record's first span is the oldest of its trace's stored
+			// spans: the local root unless eviction or a close took it.
+			sp := &spans[0]
+			sum = &TraceSummary{TraceID: sp.TraceID, Name: sp.Name, Start: sp.Start, Duration: sp.Duration}
 			byTrace[sp.TraceID] = sum
 			order = append(order, sp.TraceID)
 		}
-		sum.Spans++
-		sum.Regret += sp.Regret
-		sum.Error = sum.Error || sp.Error
-		sum.Shed = sum.Shed || sp.Shed
-		if sp.Session != "" && sum.Session == "" {
-			sum.Session = sp.Session
-		}
-		if sp.Decision != "" && !containsField(sum.Decision, sp.Decision) {
-			if sum.Decision != "" {
-				sum.Decision += ","
+		for i := range spans {
+			sp := &spans[i]
+			sum.Spans++
+			sum.Regret += sp.Regret
+			sum.Error = sum.Error || sp.Error
+			sum.Shed = sum.Shed || sp.Shed
+			if sp.Session != "" && sum.Session == "" {
+				sum.Session = sp.Session
 			}
-			sum.Decision += sp.Decision
+			if sp.Decision != "" && !containsField(sum.Decision, sp.Decision) {
+				if sum.Decision != "" {
+					sum.Decision += ","
+				}
+				sum.Decision += sp.Decision
+			}
 		}
-	})
+	}
 	return byTrace, order
 }
 
@@ -403,12 +225,11 @@ func ranksBefore(aRegret float64, aStart time.Time, bRegret float64, bStart time
 	return aStart.After(bStart)
 }
 
-// fifo is a queue on a ring buffer: extend at the back, pop at either
-// end, index from the front. Its buffer doubles when full, up to limit
+// fifo is a queue on a ring buffer: extend at the back, pop at the front,
+// index from the front. Its buffer doubles when full, up to limit
 // elements (0: no limit); a caller that bounds the queue pops before it
-// extends past the limit. A popped slot keeps its value until the next
-// extend overwrites it, which for the span ring is at once; truncate
-// zeroes what it drops, so a closed session's spans pin nothing.
+// extends past the limit. popFront and truncate zero what they drop, so
+// a dropped record pins none of its spans.
 type fifo[T any] struct {
 	buf   []T
 	head  int // buffer index of the front element
@@ -424,7 +245,6 @@ func (q *fifo[T]) at(i int) *T {
 }
 
 func (q *fifo[T]) front() *T { return q.at(0) }
-func (q *fifo[T]) back() *T  { return q.at(q.n - 1) }
 
 // extend adds a slot at the back and returns it for the caller to fill.
 func (q *fifo[T]) extend() *T {
@@ -440,18 +260,18 @@ func (q *fifo[T]) extend() *T {
 		q.buf, q.head = buf, 0
 	}
 	q.n++
-	return q.back()
+	return q.at(q.n - 1)
 }
 
-// popFront drops the n oldest elements.
-func (q *fifo[T]) popFront(n int) {
-	if q.head += n; q.head >= len(q.buf) {
-		q.head -= len(q.buf)
+// popFront drops the oldest element.
+func (q *fifo[T]) popFront() {
+	var zero T
+	*q.front() = zero
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
 	}
-	q.n -= n
+	q.n--
 }
-
-func (q *fifo[T]) popBack() { q.n-- }
 
 // truncate keeps the first n elements.
 func (q *fifo[T]) truncate(n int) {

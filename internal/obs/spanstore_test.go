@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -287,4 +289,185 @@ func BenchmarkExemplar(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestSpanStoreMatchesSpanList holds the store to a plain span list after
+// every step of random programs of flushes and closes: the list appends a
+// kept trace's spans, drops from the front past the cap and filters a
+// closed session out. The programs use caps of 1 to 16 and traces of 1
+// to 20 spans, so traces are evicted whole and in part; incoming trace
+// ids from a small pool, so stored traces share ids; and spans of several
+// sessions in one trace. SpanCount, TraceSpans of every stored id and
+// Traces with no floors must match the list, regret bit for bit.
+func TestSpanStoreMatchesSpanList(t *testing.T) {
+	seeds, steps := 200, 200
+	if testing.Short() {
+		seeds = 40
+	}
+	sessions := []string{"", "a", "b", "c"}
+	decisions := []string{"", "hit", "transfer"}
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		cap := 1 + rng.Intn(16)
+		tr := newTestTracer(t, TracerOptions{SampleRate: 0.8, RegretThreshold: 1.5, Cap: cap, Rand: rand.New(rand.NewSource(int64(seed)))})
+		clock := time.Unix(1e9, 0)
+		tr.now = func() time.Time { clock = clock.Add(time.Duration(rng.Intn(3)-1) * time.Millisecond); return clock }
+		reused := []TraceID{NewTraceID(rng), NewTraceID(rng)}
+		var list []Span
+		for step := 0; step < steps; step++ {
+			if rng.Intn(6) == 0 {
+				s := sessions[rng.Intn(len(sessions))]
+				tr.DropSession(s)
+				kept := list[:0:0]
+				for _, sp := range list {
+					if sp.Session != s {
+						kept = append(kept, sp)
+					}
+				}
+				list = kept
+			} else {
+				var parent SpanContext
+				if rng.Intn(3) == 0 {
+					parent = SpanContext{TraceID: reused[rng.Intn(len(reused))], SpanID: NewSpanID(rng), Sampled: rng.Intn(2) == 0}
+				}
+				root := tr.StartRoot(fmt.Sprintf("r%d", step), parent)
+				root.Session = sessions[rng.Intn(len(sessions))]
+				spans := []*Span{root}
+				for c := rng.Intn(20); c > 0; c-- {
+					child := root.StartChild("serve")
+					child.Session = sessions[rng.Intn(len(sessions))]
+					child.Decision = decisions[rng.Intn(len(decisions))]
+					child.Regret = float64(rng.Intn(7)-3) / 2
+					if rng.Intn(40) == 0 {
+						child.Regret = math.NaN()
+					}
+					child.Error = rng.Intn(30) == 0
+					child.Shed = rng.Intn(30) == 0
+					child.End()
+					spans = append(spans, child)
+				}
+				if root.End() {
+					for _, sp := range spans {
+						list = append(list, *sp)
+					}
+					if len(list) > cap {
+						list = list[len(list)-cap:]
+					}
+				}
+			}
+			where := fmt.Sprintf("seed %d cap %d step %d", seed, cap, step)
+			if got := tr.SpanCount(); got != len(list) {
+				t.Fatalf("%s: SpanCount %d, want %d", where, got, len(list))
+			}
+			for _, sp := range list {
+				checkTraceSpans(t, where, tr.TraceSpans(sp.TraceID), list, sp.TraceID)
+			}
+			got, want := tr.Traces(TraceQuery{MinDuration: math.Inf(-1), MinRegret: math.Inf(-1)}), listSummaries(list)
+			if len(got) != len(want) {
+				t.Fatalf("%s: Traces lists %d traces, want %d", where, len(got), len(want))
+			}
+			for i := range want {
+				if !sameSummary(got[i], want[i]) {
+					t.Fatalf("%s: Traces[%d] = %+v, want %+v", where, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// checkTraceSpans requires got to be the list's spans of trace id, in
+// order, regret bit for bit.
+func checkTraceSpans(t *testing.T, where string, got, list []Span, id string) {
+	t.Helper()
+	i := 0
+	for _, want := range list {
+		if want.TraceID != id {
+			continue
+		}
+		if i >= len(got) {
+			t.Fatalf("%s: TraceSpans(%s) holds %d spans, want more", where, id[:6], len(got))
+		}
+		a, b := got[i], want
+		if math.Float64bits(a.Regret) != math.Float64bits(b.Regret) {
+			t.Fatalf("%s: TraceSpans(%s)[%d] regret %v, want %v", where, id[:6], i, a.Regret, b.Regret)
+		}
+		a.Regret, b.Regret = 0, 0
+		a.root, b.root = nil, nil // a stored copy drops the trace's buffer
+		if a != b {
+			t.Fatalf("%s: TraceSpans(%s)[%d] = %+v, want %+v", where, id[:6], i, a, b)
+		}
+		i++
+	}
+	if i != len(got) {
+		t.Fatalf("%s: TraceSpans(%s) holds %d spans, want %d", where, id[:6], len(got), i)
+	}
+}
+
+// listSummaries summarizes a span list as Traces documents it: one
+// summary per trace id, fields from the id's first span, regret summed in
+// list order; ordered by regret descending, NaN last, the later start
+// first between equals, and list order between full ties.
+func listSummaries(list []Span) []TraceSummary {
+	var out []TraceSummary
+	at := map[string]int{}
+	for _, sp := range list {
+		i, ok := at[sp.TraceID]
+		if !ok {
+			i = len(out)
+			at[sp.TraceID] = i
+			out = append(out, TraceSummary{TraceID: sp.TraceID, Name: sp.Name, Start: sp.Start, Duration: sp.Duration})
+		}
+		sum := &out[i]
+		sum.Spans++
+		sum.Regret += sp.Regret
+		sum.Error = sum.Error || sp.Error
+		sum.Shed = sum.Shed || sp.Shed
+		if sum.Session == "" {
+			sum.Session = sp.Session
+		}
+		if sp.Decision != "" && !slices.Contains(strings.Split(sum.Decision, ","), sp.Decision) {
+			sum.Decision = strings.TrimPrefix(sum.Decision+","+sp.Decision, ",")
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if an, bn := math.IsNaN(a.Regret), math.IsNaN(b.Regret); an || bn {
+			return !an || (bn && a.Start.After(b.Start))
+		}
+		if a.Regret != b.Regret {
+			return a.Regret > b.Regret
+		}
+		return a.Start.After(b.Start)
+	})
+	return out
+}
+
+// sameSummary compares two summaries field by field, regret bit for bit.
+func sameSummary(a, b TraceSummary) bool {
+	if math.Float64bits(a.Regret) != math.Float64bits(b.Regret) {
+		return false
+	}
+	a.Regret, b.Regret = 0, 0
+	return a == b
+}
+
+// BenchmarkFlush prices one kept trace, minted and stored into a full
+// default-cap store: a two-span single serve and a 65-span pool batch.
+func BenchmarkFlush(b *testing.B) {
+	for _, spans := range []int{2, 65} {
+		b.Run(fmt.Sprintf("spans=%d", spans), func(b *testing.B) {
+			tr := fullStore(b)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				root := tr.StartRoot("POST /v1/pool/", SpanContext{})
+				root.Session = "p"
+				for c := 1; c < spans; c++ {
+					child := root.StartChild("serve")
+					child.Session = "p"
+					child.End()
+				}
+				root.End()
+			}
+		})
+	}
 }

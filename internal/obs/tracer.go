@@ -27,10 +27,10 @@ import (
 // overrides it.
 const DefaultSpanCap = 4096
 
-// maxSpansPerTrace bounds how many spans, the root included, one trace
+// MaxSpansPerTrace bounds how many spans, the root included, one trace
 // buffers; a batch of tens of thousands of requests keeps its first serve
 // spans and mints none past the bound.
-const maxSpansPerTrace = 512
+const MaxSpansPerTrace = 512
 
 // Span is one timed operation of a trace. Identifier fields hold the
 // lowercase-hex renderings so spans marshal directly to JSON/NDJSON.
@@ -60,11 +60,19 @@ type Span struct {
 
 // rootState is the per-trace buffer shared by a root span and its local
 // children; the whole group is kept or discarded together when the root
-// ends.
+// ends. Its inline array holds the common shapes (root alone, root + one
+// serve), so that they need no buffer of their own.
 type rootState struct {
 	sampled bool
 	flushed bool
 	spans   []*Span
+	inline  [2]*Span
+}
+
+// rootSpan allocates a root span and its trace's state together.
+type rootSpan struct {
+	Span
+	state rootState
 }
 
 // SpanExporter receives every span the tracer decides to keep.
@@ -144,28 +152,28 @@ func (t *Tracer) StartRoot(name string, parent SpanContext) *Span {
 		sampled = t.rate >= 1 || (t.rate > 0 && t.rng.Float64() < t.rate)
 	}
 	t.mu.Unlock()
-	sp := &Span{
+	rs := &rootSpan{state: rootState{sampled: sampled}}
+	rs.Span = Span{
 		TraceID: traceID.String(),
 		SpanID:  id.String(),
 		Name:    name,
 		Start:   t.now(),
 		tracer:  t,
-		// Pre-size for the common shapes (root alone, root + one serve).
-		root: &rootState{sampled: sampled, spans: make([]*Span, 0, 2)},
+		root:    &rs.state,
 	}
 	if parent.Valid() {
-		sp.ParentID = parent.SpanID.String()
+		rs.ParentID = parent.SpanID.String()
 	}
-	sp.root.spans = append(sp.root.spans, sp)
-	return sp
+	rs.state.spans = append(rs.state.inline[:0], &rs.Span)
+	return &rs.Span
 }
 
 // StartChild opens a child span below s, sharing its trace and buffer.
-// It returns nil when the trace already buffers maxSpansPerTrace spans or
+// It returns nil when the trace already buffers MaxSpansPerTrace spans or
 // its root has ended, since End would drop such a child, and on a nil
 // span; a caller sets fields only on a non-nil child.
 func (s *Span) StartChild(name string) *Span {
-	if s == nil || s.root.flushed || len(s.root.spans) >= maxSpansPerTrace {
+	if s == nil || s.root.flushed || len(s.root.spans) >= MaxSpansPerTrace {
 		return nil
 	}
 	t := s.tracer
@@ -183,53 +191,17 @@ func (s *Span) StartChild(name string) *Span {
 	}
 }
 
-// Context returns the span's propagation context (for outgoing
-// traceparent headers).
-func (s *Span) Context() SpanContext {
-	var sc SpanContext
-	if s == nil {
-		return sc
-	}
-	var tb TraceID
-	var sb SpanID
-	if decodeHex(s.TraceID, tb[:]) && decodeHex(s.SpanID, sb[:]) {
-		sc = SpanContext{TraceID: tb, SpanID: sb, Sampled: s.root.sampled}
-	}
-	return sc
-}
-
-// Traceparent renders the span's outgoing traceparent header,
-// FormatTraceparent(s.Context()), from the hex ids the span already
-// holds.
+// Traceparent renders the span's outgoing traceparent header from the
+// hex ids the span holds; a nil span renders the all-zero, invalid one.
 func (s *Span) Traceparent() string {
-	if s == nil || len(s.TraceID) != 32 || len(s.SpanID) != 16 || !isLowerHex(s.TraceID) || !isLowerHex(s.SpanID) {
-		return FormatTraceparent(s.Context())
+	if s == nil {
+		return FormatTraceparent(SpanContext{})
 	}
 	flags := "-00"
 	if s.root.sampled {
 		flags = "-01"
 	}
 	return "00-" + s.TraceID + "-" + s.SpanID + flags
-}
-
-func decodeHex(s string, dst []byte) bool {
-	if len(s) != 2*len(dst) {
-		return false
-	}
-	if !isLowerHex(s) {
-		return false
-	}
-	for i := 0; i < len(dst); i++ {
-		dst[i] = unhex(s[2*i])<<4 | unhex(s[2*i+1])
-	}
-	return true
-}
-
-func unhex(c byte) byte {
-	if c >= 'a' {
-		return c - 'a' + 10
-	}
-	return c - '0'
 }
 
 // Sampled reports the head-sampling verdict of the span's trace.
@@ -249,7 +221,7 @@ func (s *Span) End() bool {
 	if s.root.spans[0] != s {
 		// A child: buffer onto the root unless the trace filled up or
 		// was flushed after the child started (a straggler is dropped).
-		if !s.root.flushed && len(s.root.spans) < maxSpansPerTrace {
+		if !s.root.flushed && len(s.root.spans) < MaxSpansPerTrace {
 			s.root.spans = append(s.root.spans, s)
 		}
 		return false
@@ -275,16 +247,18 @@ func (t *Tracer) flush(root *rootState) bool {
 	if !keep {
 		return false
 	}
-	for _, sp := range root.spans {
-		sp.root = nil // the stored copy must not pin the buffer
+	kept := make([]Span, len(root.spans))
+	for i, sp := range root.spans {
+		kept[i] = *sp
+		kept[i].root = nil // the stored copy must not pin the buffer
 	}
 	t.mu.Lock()
-	t.store.addTrace(root.spans)
+	t.store.addTrace(kept)
 	exp := t.exporter
 	t.mu.Unlock()
 	if exp != nil {
-		for _, sp := range root.spans {
-			exp.ExportSpan(*sp)
+		for _, sp := range kept {
+			exp.ExportSpan(sp)
 		}
 	}
 	return true
@@ -294,7 +268,7 @@ func (t *Tracer) flush(root *rootState) bool {
 func (t *Tracer) SpanCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.store.len()
+	return t.store.n
 }
 
 // DropSession retires every stored span belonging to session, the same
@@ -310,13 +284,12 @@ func (t *Tracer) DropSession(session string) {
 // (local root first), or nil when the trace is unknown.
 func (t *Tracer) TraceSpans(id string) []Span {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	lists := t.store.spanLists(id)
+	t.mu.Unlock()
 	var out []Span
-	t.store.each(func(sp *Span) {
-		if sp.TraceID == id {
-			out = append(out, *sp)
-		}
-	})
+	for _, spans := range lists {
+		out = append(out, spans...)
+	}
 	return out
 }
 
@@ -349,8 +322,9 @@ type TraceSummary struct {
 // the ratio" questions want.
 func (t *Tracer) Traces(q TraceQuery) []TraceSummary {
 	t.mu.Lock()
-	byTrace, order := t.store.summaries()
+	lists := t.store.spanLists("")
 	t.mu.Unlock()
+	byTrace, order := summarize(lists)
 	return rankTraces(byTrace, order, q)
 }
 
@@ -390,12 +364,19 @@ func rankTraces(byTrace map[string]*TraceSummary, order []string, q TraceQuery) 
 // Exemplar returns the id of the session's highest-regret retained trace,
 // the trace a firing alert links to: the first summary
 // Traces(TraceQuery{Session: session, Limit: 1}) lists, or "" when it
-// lists none. The store indexes each session's candidates as traces are
-// flushed, so a lookup reads the index instead of summarizing the store.
+// lists none. It scans the per-trace summaries the store keeps, and asks
+// Traces only when a scanned trace id is shared.
 func (t *Tracer) Exemplar(session string) string {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.store.exemplar(session)
+	id, ok := t.store.exemplar(session)
+	t.mu.Unlock()
+	if ok {
+		return id
+	}
+	if ts := t.Traces(TraceQuery{Session: session, Limit: 1}); len(ts) > 0 {
+		return ts[0].TraceID
+	}
+	return ""
 }
 
 // containsField reports whether the comma-joined list holds field.

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -103,9 +105,8 @@ func TestTracerAdoptsParentContext(t *testing.T) {
 	if !root.Sampled() {
 		t.Fatal("caller's sampled flag not adopted")
 	}
-	sc := root.Context()
-	if sc.TraceID.String() != root.TraceID || sc.SpanID.String() != root.SpanID || !sc.Sampled {
-		t.Fatalf("Context() = %+v does not match span", sc)
+	if got, want := root.Traceparent(), "00-"+root.TraceID+"-"+root.SpanID+"-01"; got != want {
+		t.Fatalf("Traceparent() = %q, want %q", got, want)
 	}
 	if !root.End() {
 		t.Fatal("adopted-sampled root not kept")
@@ -228,8 +229,8 @@ func TestTracerNilSafety(t *testing.T) {
 	if root.Sampled() {
 		t.Fatal("nil span Sampled() = true")
 	}
-	if sc := root.Context(); sc.Valid() {
-		t.Fatal("nil span Context() valid")
+	if _, err := ParseTraceparent(root.Traceparent()); err == nil {
+		t.Fatalf("nil span Traceparent() %q parses as valid", root.Traceparent())
 	}
 }
 
@@ -275,5 +276,89 @@ func TestNDJSONExporter(t *testing.T) {
 	}
 	if lines[0].SpanID != root.SpanID || lines[1].Regret != 1.25 || lines[1].Decision != "hit" {
 		t.Fatalf("exported spans: %+v", lines)
+	}
+}
+
+// TestTracerAfterFlush uses the spans of a kept trace after its root has
+// ended: no child starts below the root or a child, End keeps nothing,
+// and Sampled and Traceparent still read the trace's verdict.
+func TestTracerAfterFlush(t *testing.T) {
+	tr := newTestTracer(t, TracerOptions{SampleRate: 1})
+	root := tr.StartRoot("GET /x", SpanContext{})
+	child := root.StartChild("serve")
+	child.End()
+	if !root.End() {
+		t.Fatal("sampled root.End() = false, want kept")
+	}
+	for _, sp := range []*Span{root, child} {
+		if late := sp.StartChild("late"); late != nil {
+			t.Fatalf("StartChild on the %s span after the flush = %+v, want nil", sp.Name, late)
+		}
+		if sp.End() {
+			t.Fatalf("End on the %s span after the flush = true", sp.Name)
+		}
+		if !sp.Sampled() {
+			t.Fatalf("the %s span lost its sampled verdict", sp.Name)
+		}
+		if got, want := sp.Traceparent(), "00-"+sp.TraceID+"-"+sp.SpanID+"-01"; got != want {
+			t.Fatalf("Traceparent() = %q, want %q", got, want)
+		}
+	}
+	if got := tr.SpanCount(); got != 2 {
+		t.Fatalf("SpanCount = %d, want 2", got)
+	}
+}
+
+// TestTracerConcurrentReaders flushes traces on four goroutines while
+// each also reads and closes: Traces and TraceSpans read stored spans
+// after releasing the tracer lock, so run it under -race.
+func TestTracerConcurrentReaders(t *testing.T) {
+	tr := newTestTracer(t, TracerOptions{SampleRate: 1, Cap: 64})
+	shared := TraceID{9}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			mine := fmt.Sprintf("s%d", g)
+			for i := 0; i < 200; i++ {
+				var parent SpanContext
+				if i%7 == 0 {
+					parent = SpanContext{TraceID: shared, SpanID: SpanID{1}, Sampled: true}
+				}
+				root := tr.StartRoot("r", parent)
+				root.Session = mine
+				for c := 0; c < i%5; c++ {
+					child := root.StartChild("serve")
+					child.Session = []string{mine, "s0", ""}[c%3]
+					child.Regret = float64(i%9) - 4
+					child.End()
+				}
+				root.End()
+				switch i % 4 {
+				case 0:
+					for _, ts := range tr.Traces(TraceQuery{MinRegret: math.Inf(-1)}) {
+						for _, sp := range tr.TraceSpans(ts.TraceID) {
+							if sp.TraceID != ts.TraceID {
+								t.Errorf("TraceSpans(%s) returned a span of %s", ts.TraceID, sp.TraceID)
+							}
+						}
+					}
+				case 1:
+					tr.Exemplar(mine)
+					tr.Exemplar("")
+				case 2:
+					if n := len(tr.TraceSpans(root.TraceID)); n > 64 {
+						t.Errorf("TraceSpans returned %d spans past the cap", n)
+					}
+				case 3:
+					tr.DropSession(fmt.Sprintf("s%d", (g+i)%4))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := tr.SpanCount(); n > 64 {
+		t.Fatalf("SpanCount = %d, want at most the cap 64", n)
 	}
 }

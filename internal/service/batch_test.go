@@ -449,9 +449,10 @@ func TestEventBufferBounded(t *testing.T) {
 
 // TestLargeBatchServeCost serves one MaxBatchRequests session batch and
 // checks what it costs and what it leaves: the serve mints no span that
-// the trace would drop and sizes its reply once, so it stays within a
-// fixed malloc budget; the trace keeps its first 512 spans (obs's bound
-// per trace, the root included);
+// the trace would drop, buffers no event of a decision past the spans
+// and sizes its reply once, so it stays within a fixed malloc and byte
+// budget; the trace keeps its first 512 spans (obs's bound per trace,
+// the root included);
 // and the reply is byte for byte encoding/json's encoding of the DTO a
 // datacache.Session reference builds.
 func TestLargeBatchServeCost(t *testing.T) {
@@ -488,6 +489,9 @@ func TestLargeBatchServeCost(t *testing.T) {
 	t.Logf("one %d-request batch: %d mallocs, %d bytes", MaxBatchRequests, mallocs, after.TotalAlloc-before.TotalAlloc)
 	if !raceEnabled && mallocs > 5000 {
 		t.Errorf("one %d-request batch made %d mallocs, want at most 5000", MaxBatchRequests, mallocs)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && alloc > 100<<20 {
+		t.Errorf("one %d-request batch allocated %d bytes, want at most 100 MiB", MaxBatchRequests, alloc)
 	}
 
 	res, err := ref.ServeBatch(context.Background(), reqs)

@@ -70,12 +70,7 @@ func (s *Server) initHistory() {
 	})
 	// Firing annotations link to the highest-regret retained trace —
 	// the exemplar a responder should open first.
-	s.history.SetTraceLinker(func(series string) string {
-		if ts := s.tracer.Traces(obs.TraceQuery{Limit: 1}); len(ts) > 0 {
-			return ts[0].TraceID
-		}
-		return ""
-	})
+	s.history.SetTraceLinker(func(series string) string { return s.tracer.Exemplar("") })
 	histSeries := s.reg.Gauge("dc_history_series",
 		"Series retained by the embedded metrics history store.")
 	histDropped := s.reg.Gauge("dc_history_series_dropped",

@@ -90,7 +90,7 @@ func (s *Server) beginServe(w http.ResponseWriter, r *http.Request, op *serveOp)
 		}
 	}
 	if op.sess != nil {
-		op.sess.evs = op.sess.evs[:0]
+		op.sess.evs, op.sess.reqs = op.sess.evs[:0], 0
 	}
 	op.start = time.Now()
 	return true
@@ -147,10 +147,12 @@ func (s *Server) endServe(w http.ResponseWriter, r *http.Request, op *serveOp, r
 		} else {
 			s.decisionSec.Observe(perDecision)
 		}
-		for i := 0; op.root != nil && i < applied; i++ {
+		for i := 0; i < applied; i++ {
 			var label string
 			label, events, _ = strings.Cut(events, ";")
-			op.span(res.decision(i), label, perDecision)
+			if !op.span(res.decision(i), label, perDecision) {
+				break
+			}
 		}
 	}
 	buf := getBuffer()
@@ -225,10 +227,11 @@ func eventRuns(evs []obs.Event, res *served) string {
 // unlocked: it starts at the timed call's start and lasts dur, the call's
 // time per decision. It annotates the span with decision d and its event
 // label, or marks it an error when d is nil (a rejected single request).
-func (op *serveOp) span(d *datacache.Decision, events string, dur float64) {
+// It reports false when the trace takes no more spans.
+func (op *serveOp) span(d *datacache.Decision, events string, dur float64) bool {
 	sp := op.root.StartChild("serve")
 	if sp == nil {
-		return
+		return false
 	}
 	sp.Start = op.start
 	sp.Session = op.id
@@ -247,6 +250,7 @@ func (op *serveOp) span(d *datacache.Decision, events string, dur float64) {
 	}
 	sp.End()
 	sp.Duration = dur
+	return true
 }
 
 // shadowLabel joins the labels of the shadow policies whose decision

@@ -42,11 +42,13 @@ type sessionEntry struct {
 	inflight atomic.Int64
 	sess     *datacache.Session
 	// evs buffers the engine events of the serve operation currently
-	// running under the entry lock; the serve skeleton (serve.go) resets
-	// it before the call and reads it after, to annotate each decision's
-	// trace span with what the decision actually did
-	// (hit/transfer/drop/timer/epoch-reset).
-	evs []obs.Event
+	// running under the entry lock, and reqs counts its request events;
+	// the serve skeleton (serve.go) resets both before the call and reads
+	// evs after, to annotate each decision's trace span with what the
+	// decision actually did (hit/transfer/drop/timer/epoch-reset). Only
+	// the decisions a trace can give a serve span are buffered.
+	evs  []obs.Event
+	reqs int
 }
 
 // SessionCreateRequest is the /v1/session body.
@@ -180,16 +182,23 @@ func sessionState(id string, sess *datacache.Session) SessionState {
 }
 
 // engineObserver feeds every decision event of one session into the
-// kind-labeled engine counters and the entry's per-serve event buffer.
-// The counters are pre-resolved atomics, and the buffer append happens
-// under the entry lock every Serve already holds, so observation adds no
-// locks to the serving path.
+// kind-labeled engine counters and the entry's per-serve event buffer,
+// which stops at the serve's obs.MaxSpansPerTrace-th request: a trace
+// has no serve span for it or any later decision. The counters are
+// pre-resolved atomics, and the buffer append happens under the entry
+// lock every Serve already holds, so observation adds no locks to the
+// serving path.
 func (s *Server) engineObserver(entry *sessionEntry) datacache.Observer {
 	return obs.ObserverFunc(func(ev obs.Event) {
 		if k := int(ev.Kind); k >= 0 && k < len(s.engineEventK) {
 			s.engineEventK[k].Inc()
 		}
-		entry.evs = append(entry.evs, ev)
+		if ev.Kind == obs.KindRequest {
+			entry.reqs++
+		}
+		if entry.reqs < obs.MaxSpansPerTrace {
+			entry.evs = append(entry.evs, ev)
+		}
 	})
 }
 
